@@ -309,7 +309,6 @@ class QNetHyper:
     replay_capacity: int = 1000
     batch_size: int = 32
     hidden: int = 32
-    init_scale: float = 0.1
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
 
     def __post_init__(self) -> None:
@@ -347,7 +346,7 @@ class QNetAgent:
         self.hyper = hyper
         self.rng = rng
         sizes = tuple(len(g.labels) for g in groups)
-        self.net = init_qnetwork(n_in, sizes, hyper.hidden, rng, hyper.init_scale)
+        self.net = init_qnetwork(n_in, sizes, hyper.hidden, rng)
         self.buffer = ReplayBuffer(hyper.replay_capacity)
         self.step_count = 0
         self._pending: tuple[np.ndarray, tuple[int, ...]] | None = None

@@ -8,12 +8,20 @@ typo cannot silently change an experiment, and every violation names the
 offending field.  Saving is canonical (fixed key order, shortest float
 representation), so a config has exactly one on-disk form and a stable
 fingerprint.
+
+Below the top level and the agent block, both directions are driven by the
+fields of the typed dataclasses: a key is a field's name, an absent key
+takes the field's default, and declaration order is the canonical key order.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import sys
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -33,12 +41,15 @@ from .agents import (
     default_group,
 )
 from .core import ActuatorBinding, PerformanceConfig, SensorBinding, V_QUANTITY
-from .grid import Bus, Generator, GridModel, Line, Load, ModelValidationError, Transformer, arl_poc_grid
+from .grid import GridModel, ModelValidationError, arl_poc_grid
 
 QNET = "qnet"
 TABULAR = "tabular"
 
 GRID_BUILDERS = {"arl_poc_grid": arl_poc_grid}
+
+# A learner `kind` picks its hyperparameter class and names the AgentSpec field holding it.
+_HYPER = {QNET: QNetHyper, TABULAR: TabularHyper}
 
 
 class ConfigError(ValueError):
@@ -60,12 +71,11 @@ def _as_list(value, ctx: str) -> list:
     return value
 
 
-def _pop(d: dict, key: str, ctx: str, required: bool = True, default=None):
+def _pop(d: dict, key: str, ctx: str):
     if key not in d:
-        if required:
-            raise ConfigError(f"{ctx}: missing required key '{key}'")
-        return default
+        raise ConfigError(f"{ctx}: missing required key '{key}'")
     return d.pop(key)
+
 
 def _done(d: dict, ctx: str) -> None:
     if d:
@@ -81,6 +91,8 @@ def _int(value, ctx: str) -> int:
 def _float(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{ctx}: expected a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity or an integer beyond float range
+        raise ConfigError(f"{ctx}: expected a finite number")
     return float(value)
 
 
@@ -96,6 +108,85 @@ def _bool(value, ctx: str) -> bool:
     return value
 
 
+_SCALARS = {int: _int, float: _float, str: _str, bool: _bool}
+
+
+# -- field-driven codec --------------------------------------------------------
+
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object, object], ...]:
+    """(name, resolved type, default or MISSING) per field of cls, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+        out.append((f.name, hints[f.name], default))
+    return tuple(out)
+
+
+def _decode(cls, raw, ctx: str, **fixed):
+    """Build cls from the object raw; keys named in fixed come from the caller."""
+    d = _as_dict(raw, ctx)
+    obj = _take(cls, d, ctx, "", fixed)
+    _done(d, ctx)
+    return obj
+
+
+def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
+    kwargs = dict(fixed)
+    for name, tp, default in _fields(cls):
+        if name in fixed:
+            continue
+        key = prefix + name
+        if tp is EpsilonSchedule:  # flat epsilon_start/_end/_decay_steps keys of the learner block
+            kwargs[name] = _take(tp, d, ctx, f"{key}_", {})
+        elif key in d:
+            kwargs[name] = _value(tp, d.pop(key), f"{ctx}.{key}")
+        elif default is dataclasses.MISSING:
+            raise ConfigError(f"{ctx}: missing required key '{key}'")
+        else:
+            kwargs[name] = default
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{ctx}: {e}") from e
+
+
+def _value(tp, raw, ctx: str):
+    if tp in _SCALARS:
+        return _SCALARS[tp](raw, ctx)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        return tuple(_value(args[0], item, f"{ctx}[{i}]") for i, item in enumerate(_as_list(raw, ctx)))
+    if type(None) in args:  # X | None
+        return None if raw is None else _value(args[0], raw, ctx)
+    return _decode(tp, raw, ctx)
+
+
+def _encode(obj, prefix: str = "") -> dict:
+    doc: dict = {}
+    for name, tp, default in _fields(type(obj)):
+        value = getattr(obj, name)
+        if tp is EpsilonSchedule:
+            doc.update(_encode(value, f"{prefix}{name}_"))
+        # Optional fields holding their empty default (None, "" or False) are
+        # left out; numeric defaults such as 0.0 are written.
+        elif not (value == default and (default is None or default is False or default == "")):
+            doc[prefix + name] = _plain(value)
+    return doc
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return _encode(value)
+    return value
+
+
 # -- typed config ---------------------------------------------------------------
 
 
@@ -105,6 +196,11 @@ class OutputPaths:
     agent_log_path: str
     metrics_path: str
     run_log_path: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("grid_log_path", "agent_log_path", "metrics_path"):
+            if not getattr(self, name):
+                raise ConfigError(f"outputs.{name}: must not be empty")
 
 
 @dataclass(frozen=True)
@@ -146,6 +242,17 @@ class ExperimentConfig:
     outputs: OutputPaths
     allow_single_class: bool = False
 
+    def __post_init__(self) -> None:
+        # Also re-checks the values that `replace` overrides, e.g. from the CLI.
+        if not self.name:
+            raise ConfigError("name: must not be empty")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed: must be a 64-bit unsigned integer")
+        if self.rounds < 0:
+            raise ConfigError("schedule.rounds: must be >= 0")
+        if self.steps_per_turn < 1:
+            raise ConfigError("schedule.steps_per_turn: must be >= 1")
+
     def build_grid(self) -> GridModel:
         if isinstance(self.grid_source, str):
             return GRID_BUILDERS[self.grid_source]()
@@ -163,115 +270,10 @@ def _parse_grid(value, ctx: str) -> str | GridModel:
         if value not in GRID_BUILDERS:
             raise ConfigError(f"{ctx}: unknown grid token {value!r}")
         return value
-    d = _as_dict(value, ctx)
-    s_base = _float(_pop(d, "s_base_mva", ctx), f"{ctx}.s_base_mva")
-
-    buses = []
-    for i, raw in enumerate(_as_list(_pop(d, "buses", ctx), f"{ctx}.buses")):
-        c = f"{ctx}.buses[{i}]"
-        b = _as_dict(raw, c)
-        setpoint = _pop(b, "v_setpoint_pu", c, required=False)
-        buses.append(
-            Bus(
-                id=_int(_pop(b, "id", c), f"{c}.id"),
-                kind=_str(_pop(b, "kind", c), f"{c}.kind"),
-                base_kv=_float(_pop(b, "base_kv", c), f"{c}.base_kv"),
-                v_setpoint_pu=None if setpoint is None else _float(setpoint, f"{c}.v_setpoint_pu"),
-                name=_str(_pop(b, "name", c, required=False, default=""), f"{c}.name"),
-            )
-        )
-        _done(b, c)
-
-    lines = []
-    for i, raw in enumerate(_as_list(_pop(d, "lines", ctx, required=False, default=[]), f"{ctx}.lines")):
-        c = f"{ctx}.lines[{i}]"
-        b = _as_dict(raw, c)
-        lines.append(
-            Line(
-                from_bus=_int(_pop(b, "from_bus", c), f"{c}.from_bus"),
-                to_bus=_int(_pop(b, "to_bus", c), f"{c}.to_bus"),
-                r_pu=_float(_pop(b, "r_pu", c), f"{c}.r_pu"),
-                x_pu=_float(_pop(b, "x_pu", c), f"{c}.x_pu"),
-                b_shunt_pu=_float(_pop(b, "b_shunt_pu", c, required=False, default=0.0), f"{c}.b_shunt_pu"),
-            )
-        )
-        _done(b, c)
-
-    transformers = []
-    for i, raw in enumerate(
-        _as_list(_pop(d, "transformers", ctx, required=False, default=[]), f"{ctx}.transformers")
-    ):
-        c = f"{ctx}.transformers[{i}]"
-        b = _as_dict(raw, c)
-        transformers.append(
-            Transformer(
-                from_bus=_int(_pop(b, "from_bus", c), f"{c}.from_bus"),
-                to_bus=_int(_pop(b, "to_bus", c), f"{c}.to_bus"),
-                r_pu=_float(_pop(b, "r_pu", c), f"{c}.r_pu"),
-                x_pu=_float(_pop(b, "x_pu", c), f"{c}.x_pu"),
-                tap_pos=_int(_pop(b, "tap_pos", c, required=False, default=0), f"{c}.tap_pos"),
-                tap_min=_int(_pop(b, "tap_min", c, required=False, default=0), f"{c}.tap_min"),
-                tap_max=_int(_pop(b, "tap_max", c, required=False, default=0), f"{c}.tap_max"),
-                tap_step_pu=_float(_pop(b, "tap_step_pu", c, required=False, default=0.0), f"{c}.tap_step_pu"),
-            )
-        )
-        _done(b, c)
-
-    generators = []
-    for i, raw in enumerate(
-        _as_list(_pop(d, "generators", ctx, required=False, default=[]), f"{ctx}.generators")
-    ):
-        c = f"{ctx}.generators[{i}]"
-        b = _as_dict(raw, c)
-        generators.append(
-            Generator(
-                bus=_int(_pop(b, "bus", c), f"{c}.bus"),
-                p_mw=_float(_pop(b, "p_mw", c), f"{c}.p_mw"),
-                q_mvar=_float(_pop(b, "q_mvar", c), f"{c}.q_mvar"),
-                p_min_mw=_float(_pop(b, "p_min_mw", c), f"{c}.p_min_mw"),
-                p_max_mw=_float(_pop(b, "p_max_mw", c), f"{c}.p_max_mw"),
-                q_min_mvar=_float(_pop(b, "q_min_mvar", c), f"{c}.q_min_mvar"),
-                q_max_mvar=_float(_pop(b, "q_max_mvar", c), f"{c}.q_max_mvar"),
-            )
-        )
-        _done(b, c)
-
-    loads = []
-    for i, raw in enumerate(_as_list(_pop(d, "loads", ctx, required=False, default=[]), f"{ctx}.loads")):
-        c = f"{ctx}.loads[{i}]"
-        b = _as_dict(raw, c)
-        loads.append(
-            Load(
-                bus=_int(_pop(b, "bus", c), f"{c}.bus"),
-                p_mw=_float(_pop(b, "p_mw", c), f"{c}.p_mw"),
-                q_mvar=_float(_pop(b, "q_mvar", c), f"{c}.q_mvar"),
-                scaling=_float(_pop(b, "scaling", c, required=False, default=1.0), f"{c}.scaling"),
-                scaling_min=_float(_pop(b, "scaling_min", c, required=False, default=1.0), f"{c}.scaling_min"),
-                scaling_max=_float(_pop(b, "scaling_max", c, required=False, default=1.0), f"{c}.scaling_max"),
-            )
-        )
-        _done(b, c)
-
-    _done(d, ctx)
     try:
-        return GridModel(
-            s_base_mva=s_base,
-            buses=tuple(buses),
-            lines=tuple(lines),
-            transformers=tuple(transformers),
-            generators=tuple(generators),
-            loads=tuple(loads),
-        ).validate()
+        return _decode(GridModel, value, ctx).validate()
     except ModelValidationError as e:
         raise ConfigError(f"{ctx}: {e}") from e
-
-
-def _parse_epsilon(d: dict, ctx: str) -> EpsilonSchedule:
-    return EpsilonSchedule(
-        start=_float(_pop(d, "epsilon_start", ctx, required=False, default=1.0), f"{ctx}.epsilon_start"),
-        end=_float(_pop(d, "epsilon_end", ctx, required=False, default=0.05), f"{ctx}.epsilon_end"),
-        decay_steps=_int(_pop(d, "epsilon_decay_steps", ctx, required=False, default=1000), f"{ctx}.epsilon_decay_steps"),
-    )
 
 
 def _parse_agent(raw, idx: int) -> AgentSpec:
@@ -290,7 +292,7 @@ def _parse_agent(raw, idx: int) -> AgentSpec:
         c = f"{ctx}.sensors[{i}]"
         sd = _as_dict(s, c)
         bus = _int(_pop(sd, "bus", c), f"{c}.bus")
-        quantity = _str(_pop(sd, "quantity", c, required=False, default=V_QUANTITY), f"{c}.quantity")
+        quantity = _str(sd.pop("quantity", V_QUANTITY), f"{c}.quantity")
         if quantity != V_QUANTITY:
             raise ConfigError(f"{c}.quantity: unsupported quantity {quantity!r}")
         _done(sd, c)
@@ -300,70 +302,35 @@ def _parse_agent(raw, idx: int) -> AgentSpec:
     for i, a in enumerate(_as_list(_pop(d, "actuators", ctx), f"{ctx}.actuators")):
         c = f"{ctx}.actuators[{i}]"
         ad = _as_dict(a, c)
-        kind = _str(_pop(ad, "kind", c), f"{c}.kind")
-        if kind not in agents_mod.LABELS_BY_KIND:
-            raise ConfigError(f"{c}.kind: unknown actuator kind {kind!r}")
-        index = _int(_pop(ad, "index", c), f"{c}.index")
-        labels = _pop(ad, "labels", c, required=False)
-        if labels is not None:
-            expected = list(agents_mod.LABELS_BY_KIND[kind])
-            if list(labels) != expected:
-                raise ConfigError(f"{c}.labels: invalid for kind {kind!r}, expected {expected}")
-        _done(ad, c)
-        actuators.append(ActuatorRef(kind, index))
+        labels = ad.pop("labels", None)
+        ref = _decode(ActuatorRef, ad, c)
+        expected = list(agents_mod.LABELS_BY_KIND[ref.kind])
+        if labels is not None and labels != expected:
+            raise ConfigError(f"{c}.labels: invalid for kind {ref.kind!r}, expected {expected}")
+        actuators.append(ref)
 
     c = f"{ctx}.reward"
-    rd = _as_dict(_pop(d, "reward", ctx, required=False, default={}), c)
-    mu = _float(_pop(rd, "mu", c, required=False, default=1.0), f"{c}.mu")
-    sigma = _float(_pop(rd, "sigma", c, required=False, default=agents_mod.DEFAULT_SIGMA), f"{c}.sigma")
-    c_default = boundary_offset(sigma) if sigma > 0 else agents_mod.DEFAULT_C
-    c_off = _float(_pop(rd, "c", c, required=False, default=c_default), f"{c}.c")
-    _done(rd, c)
-    try:
-        params = RewardParams(mu=mu, sigma=sigma, c=c_off, agent_class=agent_class)
-    except ValueError as e:
-        raise ConfigError(f"{c}: {e}") from e
+    rd = _as_dict(d.pop("reward", {}), c)
+    if "c" not in rd:  # by default the reward crosses zero at 5 % deviation for this sigma
+        sigma = _float(rd.get("sigma", agents_mod.DEFAULT_SIGMA), f"{c}.sigma")
+        rd["c"] = boundary_offset(sigma) if sigma > 0 else agents_mod.DEFAULT_C
+    reward_params = _decode(RewardParams, rd, c, agent_class=agent_class)
 
     c = f"{ctx}.learner"
-    ld = _as_dict(_pop(d, "learner", ctx, required=False, default={}), c)
-    kind = _str(_pop(ld, "kind", c, required=False, default=QNET), f"{c}.kind")
-    qnet = tabular = None
-    try:
-        if kind == QNET:
-            qnet = QNetHyper(
-                gamma=_float(_pop(ld, "gamma", c, required=False, default=0.95), f"{c}.gamma"),
-                learning_rate=_float(_pop(ld, "learning_rate", c, required=False, default=1e-3), f"{c}.learning_rate"),
-                replay_capacity=_int(_pop(ld, "replay_capacity", c, required=False, default=1000), f"{c}.replay_capacity"),
-                batch_size=_int(_pop(ld, "batch_size", c, required=False, default=32), f"{c}.batch_size"),
-                hidden=_int(_pop(ld, "hidden", c, required=False, default=32), f"{c}.hidden"),
-                epsilon=_parse_epsilon(ld, c),
-            )
-        elif kind == TABULAR:
-            tabular = TabularHyper(
-                alpha=_float(_pop(ld, "alpha", c, required=False, default=0.1), f"{c}.alpha"),
-                gamma=_float(_pop(ld, "gamma", c, required=False, default=0.95), f"{c}.gamma"),
-                n_bins=_int(_pop(ld, "n_bins", c, required=False, default=21), f"{c}.n_bins"),
-                bin_lo=_float(_pop(ld, "bin_lo", c, required=False, default=0.85), f"{c}.bin_lo"),
-                bin_hi=_float(_pop(ld, "bin_hi", c, required=False, default=1.15), f"{c}.bin_hi"),
-                epsilon=_parse_epsilon(ld, c),
-            )
-        else:
-            raise ConfigError(f"{c}.kind: must be 'qnet' or 'tabular'")
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{c}: {e}") from e
-    _done(ld, c)
+    ld = _as_dict(d.pop("learner", {}), c)
+    kind = _str(ld.pop("kind", QNET), f"{c}.kind")
+    if kind not in _HYPER:
+        raise ConfigError(f"{c}.kind: must be 'qnet' or 'tabular'")
+    hyper = _decode(_HYPER[kind], ld, c)
     _done(d, ctx)
     return AgentSpec(
         id=agent_id,
         agent_class=agent_class,
         sensors=tuple(sensors),
         actuators=tuple(actuators),
-        reward=params,
+        reward=reward_params,
         learner_kind=kind,
-        qnet=qnet,
-        tabular=tabular,
+        **{kind: hyper},
     )
 
 
@@ -376,12 +343,7 @@ def load_config(text: str) -> ExperimentConfig:
     d = _as_dict(doc, "config")
 
     name = _str(_pop(d, "name", "config"), "name")
-    if not name:
-        raise ConfigError("name: must not be empty")
     seed = _int(_pop(d, "seed", "config"), "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed: must be a 64-bit unsigned integer")
-
     grid_source = _parse_grid(_pop(d, "grid", "config"), "grid")
 
     raw_agents = _as_list(_pop(d, "agents", "config"), "agents")
@@ -392,44 +354,12 @@ def load_config(text: str) -> ExperimentConfig:
     c = "schedule"
     sd = _as_dict(_pop(d, "schedule", "config"), c)
     rounds = _int(_pop(sd, "rounds", c), f"{c}.rounds")
-    if rounds < 0:
-        raise ConfigError(f"{c}.rounds: must be >= 0")
-    steps_per_turn = _int(_pop(sd, "steps_per_turn", c, required=False, default=1), f"{c}.steps_per_turn")
-    if steps_per_turn < 1:
-        raise ConfigError(f"{c}.steps_per_turn: must be >= 1")
+    steps_per_turn = _int(sd.pop("steps_per_turn", 1), f"{c}.steps_per_turn")
     _done(sd, c)
 
-    c = "performance"
-    pd = _as_dict(_pop(d, "performance", "config"), c)
-    try:
-        performance = PerformanceConfig(
-            p_star=_float(_pop(pd, "p_star", c, required=False, default=1.0), f"{c}.p_star"),
-            p_fail=_float(_pop(pd, "p_fail", c, required=False, default=13.0 / 14.0), f"{c}.p_fail"),
-            v_lo=_float(_pop(pd, "v_lo", c, required=False, default=0.9), f"{c}.v_lo"),
-            v_hi=_float(_pop(pd, "v_hi", c, required=False, default=1.1), f"{c}.v_hi"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"{c}: {e}") from e
-    _done(pd, c)
-
-    c = "outputs"
-    od = _as_dict(_pop(d, "outputs", "config"), c)
-    run_log = _pop(od, "run_log_path", c, required=False)
-    outputs = OutputPaths(
-        grid_log_path=_str(_pop(od, "grid_log_path", c), f"{c}.grid_log_path"),
-        agent_log_path=_str(_pop(od, "agent_log_path", c), f"{c}.agent_log_path"),
-        metrics_path=_str(_pop(od, "metrics_path", c), f"{c}.metrics_path"),
-        run_log_path=None if run_log is None else _str(run_log, f"{c}.run_log_path"),
-    )
-    for field_name in ("grid_log_path", "agent_log_path", "metrics_path"):
-        if not getattr(outputs, field_name):
-            raise ConfigError(f"outputs.{field_name}: must not be empty")
-    _done(od, c)
-
-    allow_single = _bool(
-        _pop(d, "allow_single_class", "config", required=False, default=False),
-        "allow_single_class",
-    )
+    performance = _decode(PerformanceConfig, _pop(d, "performance", "config"), "performance")
+    outputs = _decode(OutputPaths, _pop(d, "outputs", "config"), "outputs")
+    allow_single = _bool(d.pop("allow_single_class", False), "allow_single_class")
     _done(d, "config")
 
     cfg = ExperimentConfig(
@@ -482,66 +412,16 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
 # -- canonical save -------------------------------------------------------------
 
 
-def _grid_doc(grid: GridModel) -> dict:
-    doc: dict = {"s_base_mva": grid.s_base_mva}
-    buses = []
-    for b in grid.buses:
-        bd: dict = {"id": b.id, "kind": b.kind, "base_kv": b.base_kv}
-        if b.v_setpoint_pu is not None:
-            bd["v_setpoint_pu"] = b.v_setpoint_pu
-        if b.name:
-            bd["name"] = b.name
-        buses.append(bd)
-    doc["buses"] = buses
-    doc["lines"] = [
-        {"from_bus": ln.from_bus, "to_bus": ln.to_bus, "r_pu": ln.r_pu,
-         "x_pu": ln.x_pu, "b_shunt_pu": ln.b_shunt_pu}
-        for ln in grid.lines
-    ]
-    doc["transformers"] = [
-        {"from_bus": tr.from_bus, "to_bus": tr.to_bus, "r_pu": tr.r_pu, "x_pu": tr.x_pu,
-         "tap_pos": tr.tap_pos, "tap_min": tr.tap_min, "tap_max": tr.tap_max,
-         "tap_step_pu": tr.tap_step_pu}
-        for tr in grid.transformers
-    ]
-    doc["generators"] = [
-        {"bus": g.bus, "p_mw": g.p_mw, "q_mvar": g.q_mvar, "p_min_mw": g.p_min_mw,
-         "p_max_mw": g.p_max_mw, "q_min_mvar": g.q_min_mvar, "q_max_mvar": g.q_max_mvar}
-        for g in grid.generators
-    ]
-    doc["loads"] = [
-        {"bus": ld.bus, "p_mw": ld.p_mw, "q_mvar": ld.q_mvar, "scaling": ld.scaling,
-         "scaling_min": ld.scaling_min, "scaling_max": ld.scaling_max}
-        for ld in grid.loads
-    ]
-    return doc
-
-
-def _learner_doc(spec: AgentSpec) -> dict:
-    if spec.learner_kind == QNET:
-        h = spec.qnet
-        return {
-            "kind": QNET,
-            "gamma": h.gamma,
-            "learning_rate": h.learning_rate,
-            "replay_capacity": h.replay_capacity,
-            "batch_size": h.batch_size,
-            "hidden": h.hidden,
-            "epsilon_start": h.epsilon.start,
-            "epsilon_end": h.epsilon.end,
-            "epsilon_decay_steps": h.epsilon.decay_steps,
-        }
-    h = spec.tabular
+def _agent_doc(spec: AgentSpec) -> dict:
+    reward_doc = _encode(spec.reward)
+    del reward_doc["agent_class"]  # saved as the agent's "class"
     return {
-        "kind": TABULAR,
-        "alpha": h.alpha,
-        "gamma": h.gamma,
-        "n_bins": h.n_bins,
-        "bin_lo": h.bin_lo,
-        "bin_hi": h.bin_hi,
-        "epsilon_start": h.epsilon.start,
-        "epsilon_end": h.epsilon.end,
-        "epsilon_decay_steps": h.epsilon.decay_steps,
+        "id": spec.id,
+        "class": spec.agent_class,
+        "sensors": [{"bus": bus, "quantity": quantity} for bus, quantity in spec.sensors],
+        "actuators": _plain(spec.actuators),
+        "reward": reward_doc,
+        "learner": {"kind": spec.learner_kind, **_encode(getattr(spec, spec.learner_kind))},
     }
 
 
@@ -550,33 +430,12 @@ def save_config(cfg: ExperimentConfig) -> str:
     doc: dict = {
         "name": cfg.name,
         "seed": cfg.seed,
-        "grid": cfg.grid_source if isinstance(cfg.grid_source, str) else _grid_doc(cfg.grid_source),
-        "agents": [
-            {
-                "id": spec.id,
-                "class": spec.agent_class,
-                "sensors": [{"bus": bus, "quantity": quantity} for bus, quantity in spec.sensors],
-                "actuators": [{"kind": ref.kind, "index": ref.index} for ref in spec.actuators],
-                "reward": {"mu": spec.reward.mu, "sigma": spec.reward.sigma, "c": spec.reward.c},
-                "learner": _learner_doc(spec),
-            }
-            for spec in cfg.agents
-        ],
+        "grid": _plain(cfg.grid_source),
+        "agents": [_agent_doc(spec) for spec in cfg.agents],
         "schedule": {"rounds": cfg.rounds, "steps_per_turn": cfg.steps_per_turn},
-        "performance": {
-            "p_star": cfg.performance.p_star,
-            "p_fail": cfg.performance.p_fail,
-            "v_lo": cfg.performance.v_lo,
-            "v_hi": cfg.performance.v_hi,
-        },
-        "outputs": {
-            "grid_log_path": cfg.outputs.grid_log_path,
-            "agent_log_path": cfg.outputs.agent_log_path,
-            "metrics_path": cfg.outputs.metrics_path,
-        },
+        "performance": _encode(cfg.performance),
+        "outputs": _encode(cfg.outputs),
     }
-    if cfg.outputs.run_log_path is not None:
-        doc["outputs"]["run_log_path"] = cfg.outputs.run_log_path
     if cfg.allow_single_class:
         doc["allow_single_class"] = True
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

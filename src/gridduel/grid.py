@@ -90,7 +90,7 @@ class Load:
 @dataclass(frozen=True)
 class GridModel:
     s_base_mva: float
-    buses: tuple[Bus, ...] = field(default_factory=tuple)
+    buses: tuple[Bus, ...]
     lines: tuple[Line, ...] = field(default_factory=tuple)
     transformers: tuple[Transformer, ...] = field(default_factory=tuple)
     generators: tuple[Generator, ...] = field(default_factory=tuple)

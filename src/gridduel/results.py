@@ -8,13 +8,15 @@ Re-running the config a log was produced from regenerates identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
+    PHASE_BLACKOUT,
+    PHASE_EMERGENCY,
     AgentSummary,
     PerformanceConfig,
     PhaseSegment,
@@ -72,12 +74,7 @@ def write_run_log(log: RunLog, path: str | Path) -> None:
         "seed": log.seed,
         "rounds": log.rounds,
         "steps_per_turn": log.steps_per_turn,
-        "performance": {
-            "p_star": log.performance.p_star,
-            "p_fail": log.performance.p_fail,
-            "v_lo": log.performance.v_lo,
-            "v_hi": log.performance.v_hi,
-        },
+        "performance": asdict(log.performance),
         "agents": [
             {"id": a.agent_id, "class": a.agent_class, "learner": a.learner_kind}
             for a in log.agents
@@ -176,14 +173,10 @@ def compute_metrics(log: RunLog, cfg: PerformanceConfig) -> MetricsReport:
             series.append(count)
         cumulative[agent.agent_id] = tuple(series)
 
-    attack_step: int | None = None
-    for rec in log.steps:
-        violated = (not rec.converged) or bool(
-            np.any(rec.v_pu < cfg.v_lo) | np.any(rec.v_pu > cfg.v_hi)
-        )
-        if violated:
-            attack_step = rec.t
-            break
+    # First step outside the hard band or unsolved: the attack-success predicate.
+    attack_step = next(
+        (t for t, phase in zip(steps, phases) if phase in (PHASE_EMERGENCY, PHASE_BLACKOUT)), None
+    )
 
     segments = tuple(classify_resilience_phases(p_world, cfg)) if p_world else ()
     return MetricsReport(
@@ -205,12 +198,7 @@ def metrics_doc(report: MetricsReport, log: RunLog) -> dict:
         "rounds": log.rounds,
         "steps_per_turn": log.steps_per_turn,
         "config_fingerprint": log.config_fingerprint,
-        "performance": {
-            "p_star": log.performance.p_star,
-            "p_fail": log.performance.p_fail,
-            "v_lo": log.performance.v_lo,
-            "v_hi": log.performance.v_hi,
-        },
+        "performance": asdict(log.performance),
         "agents": [
             {"id": a.agent_id, "class": a.agent_class, "learner": a.learner_kind}
             for a in log.agents

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import gridduel
 from gridduel.agents import ActuatorRef, QNetHyper, RewardParams, TabularHyper
@@ -47,6 +50,17 @@ def cli_env(**extra: str) -> dict[str, str]:
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = package_root + (os.pathsep + inherited if inherited else "")
     return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants of local source files under its home
+    # directory, ./.hypothesis by default, while collecting; use a temp dir.
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

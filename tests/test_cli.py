@@ -2,6 +2,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from gridduel.cli import main
 from gridduel.config import fixture_path
 
@@ -87,6 +89,17 @@ def test_run_records_effective_values_in_metrics(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "out" / "poc_metrics.json").read_text())
     assert doc["rounds"] == 3
     assert doc["seed"] == 9
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [(["--seed", "-1"], "seed"), (["--seed", str(2**64)], "seed"), (["--rounds", "-5"], "schedule.rounds")],
+)
+def test_run_rejects_invalid_overrides(tmp_path, monkeypatch, capsys, override, field):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", TWO_BUS, *override]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_ok(capsys):

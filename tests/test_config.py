@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridduel.config import ConfigError, fixture_path, load_config, load_config_path, save_config
 
@@ -299,3 +301,138 @@ def test_custom_sigma_moves_default_boundary():
     import math
 
     assert cfg.agents[0].reward.c == math.exp(-(0.05**2) / (2 * 0.05**2))
+
+
+@pytest.mark.parametrize(
+    "path, edit, field",
+    [
+        (TWO_BUS, lambda doc: doc["grid"]["lines"][0].update(x_pu=float("nan")), r"grid\.lines\[0\]\.x_pu"),
+        (POC, lambda doc: doc["performance"].update(v_hi=float("inf")), r"performance\.v_hi"),
+    ],
+    ids=["nan_line_x_pu", "infinite_v_hi"],
+)
+def test_non_finite_numbers_rejected(path, edit, field):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    with pytest.raises(ConfigError, match=field + ": expected a finite number"):
+        load_doc(doc)  # json.dumps writes NaN / Infinity, which json.loads accepts
+
+
+# -- codec property: any valid document has one canonical form -----------------------
+
+
+# Non-ASCII, quote and backslash exercise the JSON escaping.
+_TEXT = 'ab_ -\u00e9\u2603"\\'
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _some(draw, required: dict, optional: dict) -> dict:
+    """`required` plus a drawn subset of `optional`."""
+    return {**required, **{k: v for k, v in optional.items() if draw(st.booleans())}}
+
+
+@st.composite
+def _bus(draw, i):
+    setpoint = {"v_setpoint_pu": draw(_floats(0.9, 1.1))}
+    bus = {"id": i, "kind": "slack" if i == 0 else "pq", "base_kv": draw(_floats(0.4, 400.0))}
+    if i == 0:
+        bus.update(setpoint)
+    return _some(draw, bus, {"name": draw(st.text(_TEXT, max_size=6)), **({} if i == 0 else setpoint)})
+
+
+@st.composite
+def _load(draw, bus):
+    load = {"bus": bus, "p_mw": draw(_floats(-5.0, 5.0)), "q_mvar": draw(_floats(-2.0, 2.0))}
+    if draw(st.booleans()):  # scaling_min <= scaling <= scaling_max, so all three or none
+        scaling = draw(_floats(0.5, 1.5))
+        load.update(scaling=scaling, scaling_min=scaling - draw(_floats(0.0, 0.5)),
+                    scaling_max=scaling + draw(_floats(0.0, 0.5)))
+    return load
+
+
+@st.composite
+def _learner(draw):
+    epsilon = {"epsilon_start": draw(_floats(0.0, 1.0)), "epsilon_end": draw(_floats(0.0, 1.0)),
+               "epsilon_decay_steps": draw(st.integers(1, 5000))}
+    if draw(st.booleans()):
+        # Either of replay_capacity and batch_size may fall back to its default (1000, 32).
+        capacity = draw(st.integers(32, 2000))
+        hyper = {"gamma": draw(_floats(0.0, 0.999)), "learning_rate": draw(_floats(1e-6, 1.0)),
+                 "replay_capacity": capacity, "batch_size": draw(st.integers(1, min(capacity, 1000))),
+                 "hidden": draw(st.integers(1, 64))}
+        return _some(draw, {"kind": "qnet"}, {**hyper, **epsilon})
+    lo = draw(_floats(0.5, 1.0))
+    hyper = {"alpha": draw(_floats(0.001, 1.0)), "gamma": draw(_floats(0.0, 0.999)),
+             "n_bins": draw(st.integers(1, 50)), "bin_lo": lo, "bin_hi": lo + draw(_floats(0.01, 0.5))}
+    return _some(draw, {"kind": "tabular"}, {**hyper, **epsilon})
+
+
+@st.composite
+def _agent(draw, agent_class, n_bus, load_indices):
+    reward = _some(draw, {}, {"mu": draw(_floats(0.9, 1.1)), "sigma": draw(_floats(0.01, 0.1)),
+                              "c": draw(_floats(0.01, 0.99))})
+    sensors = draw(st.lists(st.integers(0, n_bus - 1), min_size=1, max_size=n_bus))
+    return _some(
+        draw,
+        {"id": agent_class, "class": agent_class,
+         "sensors": [_some(draw, {"bus": b}, {"quantity": "v_pu"}) for b in sensors],
+         "actuators": [{"kind": "load", "index": i} for i in load_indices]},
+        {"reward": reward, "learner": draw(_learner())},
+    )
+
+
+@st.composite
+def config_docs(draw):
+    n_bus = draw(st.integers(2, 6))
+    grid = {
+        "s_base_mva": draw(_floats(1.0, 100.0)),
+        "buses": [draw(_bus(i)) for i in range(n_bus)],
+        "lines": [
+            _some(draw, {"from_bus": i, "to_bus": i + 1, "r_pu": draw(_floats(0.0, 0.1)),
+                         "x_pu": draw(_floats(0.01, 0.5))}, {"b_shunt_pu": draw(_floats(0.0, 0.1))})
+            for i in range(n_bus - 1)
+        ],
+        "loads": [draw(_load(b)) for b in range(1, n_bus) if draw(st.booleans())],
+        **_some(draw, {}, {"transformers": [], "generators": []}),
+    }
+    n_loads = len(grid["loads"])
+    if draw(st.booleans()):
+        agents = [draw(_agent("defender", n_bus, range(n_loads)))]
+        single = {"allow_single_class": True}
+    else:
+        agents = [draw(_agent("attacker", n_bus, range(0, n_loads, 2))),
+                  draw(_agent("defender", n_bus, range(1, n_loads, 2)))]
+        single = {"allow_single_class": False} if draw(st.booleans()) else {}
+    p_star = draw(_floats(0.93, 1.0))  # above the default p_fail, 13/14
+    performance = _some(draw, {}, {"p_star": p_star, "p_fail": p_star * draw(_floats(0.0, 0.99)),
+                                   "v_lo": draw(_floats(0.8, 0.99)), "v_hi": draw(_floats(1.01, 1.2))})
+    outputs = _some(draw, {"grid_log_path": "g.csv", "agent_log_path": "a.csv", "metrics_path": "m.json"},
+                    {"run_log_path": "r.json"})
+    schedule = _some(draw, {"rounds": draw(st.integers(0, 10**6))},
+                     {"steps_per_turn": draw(st.integers(1, 5))})
+    return {"name": draw(st.text(_TEXT, min_size=1, max_size=8)), "seed": draw(st.integers(0, 2**64 - 1)),
+            "grid": grid, "agents": agents, "schedule": schedule, "performance": performance,
+            "outputs": outputs, **single}
+
+
+def _shuffled(value, rnd):
+    if isinstance(value, dict):
+        keys = list(value)
+        rnd.shuffle(keys)
+        return {k: _shuffled(value[k], rnd) for k in keys}
+    if isinstance(value, list):
+        return [_shuffled(item, rnd) for item in value]
+    return value
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(doc=config_docs(), rnd=st.randoms(use_true_random=False))
+def test_codec_round_trip_is_canonical(doc, rnd):
+    cfg = load_doc(doc)
+    text = save_config(cfg)
+    assert load_config(text) == cfg
+    assert save_config(load_config(text)) == text
+    assert save_config(load_config(json.dumps(_shuffled(doc, rnd)))) == text

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,20 @@ def test_metrics_series_lengths_and_attack_step(short_run):
     assert len(report.operational_phase) == n
     assert report.attack_success_step is None  # nominal-ish short run stays in band
     assert all(phase in ("normal", "alert") for phase in report.operational_phase)
+
+
+@pytest.mark.parametrize(
+    "v_pu, converged, expected",
+    [([1.0, 1.0], False, 2), ([1.0, 1.2], True, 2), ([1.0, CFG.v_hi], True, None)],
+)
+def test_attack_success_step_is_first_step_out_of_band(v_pu, converged, expected):
+    from .test_core import fake_runlog
+
+    log = fake_runlog([1.0, 1.0, 1.0])
+    first, second, third = log.steps
+    steps = (first, replace(second, v_pu=np.array(v_pu), converged=converged), third)
+    report = compute_metrics(replace(log, steps=steps), CFG)
+    assert report.attack_success_step == expected
 
 
 def test_mean_voltage_matches_recorded_buses(short_run):
