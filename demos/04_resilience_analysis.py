@@ -16,9 +16,9 @@ from gridduel import (
     apply_actions,
     arl_poc_grid,
     check_asymmetry_series,
-    classify_operational_phase,
     classify_resilience_phases,
     initial_world,
+    operational_phase,
     system_performance,
 )
 
@@ -35,7 +35,7 @@ for label, repeats in script:
     for _ in range(repeats):
         world = apply_actions(world, tap_actions(label))
         p_series.append(system_performance(world, cfg))
-        phases.append(classify_operational_phase(world, cfg))
+        phases.append(operational_phase(world.solution.v_pu, world.solution.converged, cfg))
 
 print("step  p(m_t)  operating state")
 for t, (p, phase) in enumerate(zip(p_series, phases)):

@@ -31,22 +31,19 @@ from .config import (
 )
 from .core import (
     Action,
-    ActuatorBinding,
     Observation,
     PerformanceConfig,
     PhaseSegment,
     RunLog,
-    SensorBinding,
     StepRecord,
     WorldState,
     apply_actions,
     attack_successful,
-    check_asymmetry,
     check_asymmetry_series,
-    classify_operational_phase,
     classify_resilience_phases,
     initial_world,
     observe,
+    operational_phase,
     run_experiment,
     system_performance,
 )

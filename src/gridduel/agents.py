@@ -120,10 +120,6 @@ class QNetwork:
     def n_in(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def n_out(self) -> int:
-        return self.w2.shape[0]
-
     def group_offsets(self) -> list[int]:
         offs = [0]
         for size in self.group_sizes:
@@ -167,21 +163,31 @@ def forward(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
     return [q[offs[i] : offs[i + 1]] for i in range(len(net.group_sizes))]
 
 
+def epsilon_greedy(
+    q_groups: list[np.ndarray], epsilon: float, rng: np.random.Generator
+) -> tuple[int, ...]:
+    """Index of the chosen label per group; argmax ties go to the lowest index.
+
+    The exploration draw is made only when epsilon > 0, so a greedy policy
+    leaves the generator untouched.
+    """
+    chosen = []
+    for q in q_groups:
+        if epsilon > 0.0 and rng.random() < epsilon:
+            chosen.append(int(rng.integers(len(q))))
+        else:
+            chosen.append(int(np.argmax(q)))
+    return tuple(chosen)
+
+
 def select_actions(
     net: QNetwork,
     x: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
 ) -> tuple[int, ...]:
-    """Index of the chosen label per group; epsilon-greedy, argmax ties to lowest index."""
-    grouped = forward(net, x)
-    chosen = []
-    for q in grouped:
-        if epsilon > 0.0 and rng.random() < epsilon:
-            chosen.append(int(rng.integers(len(q))))
-        else:
-            chosen.append(int(np.argmax(q)))
-    return tuple(chosen)
+    """Epsilon-greedy label indices from the network's Q-values for x."""
+    return epsilon_greedy(forward(net, x), epsilon, rng)
 
 
 # -- TD learning --------------------------------------------------------------
@@ -332,28 +338,46 @@ class TabularHyper:
             raise ValueError("gamma must be in [0, 1)")
 
 
-class QNetAgent:
-    """Q-network learner over the factored action groups.
+class _Learner:
+    """State and protocol both learners share.
 
-    ``act`` maps the observation to one label index per group and advances
-    the exploration schedule; ``learn`` completes the pending transition with
-    its reward and follow-up observation, then trains on a replay batch.
+    ``act`` maps an observation to one label index per group, records the
+    turn as pending and advances the exploration schedule; ``learn``
+    completes the pending turn with its reward and follow-up observation.
+    Each learner defines both methods on its own class.
     """
 
-    def __init__(self, groups: list[ActionGroup], n_in: int, hyper: QNetHyper,
+    def __init__(self, groups: list[ActionGroup], hyper: QNetHyper | TabularHyper,
                  rng: np.random.Generator):
         self.groups = list(groups)
         self.hyper = hyper
         self.rng = rng
-        sizes = tuple(len(g.labels) for g in groups)
-        self.net = init_qnetwork(n_in, sizes, hyper.hidden, rng)
-        self.buffer = ReplayBuffer(hyper.replay_capacity)
         self.step_count = 0
-        self._pending: tuple[np.ndarray, tuple[int, ...]] | None = None
+        self._pending: tuple[object, tuple[int, ...]] | None = None
 
     @property
     def epsilon(self) -> float:
         return self.hyper.epsilon.value(self.step_count)
+
+    def labels_for(self, chosen: tuple[int, ...]) -> tuple[str, ...]:
+        return tuple(g.labels[i] for g, i in zip(self.groups, chosen))
+
+    def _take_pending(self) -> tuple[object, tuple[int, ...]]:
+        if self._pending is None:
+            raise RuntimeError("learn() called before act()")
+        pending, self._pending = self._pending, None
+        return pending
+
+
+class QNetAgent(_Learner):
+    """Q-network learner over the factored action groups, trained on replay batches."""
+
+    def __init__(self, groups: list[ActionGroup], n_in: int, hyper: QNetHyper,
+                 rng: np.random.Generator):
+        super().__init__(groups, hyper, rng)
+        sizes = tuple(len(g.labels) for g in groups)
+        self.net = init_qnetwork(n_in, sizes, hyper.hidden, rng)
+        self.buffer = ReplayBuffer(hyper.replay_capacity)
 
     def act(self, x: np.ndarray) -> tuple[int, ...]:
         x = np.asarray(x, dtype=float)
@@ -363,19 +387,13 @@ class QNetAgent:
         return chosen
 
     def learn(self, reward_value: float, x_next: np.ndarray) -> float | None:
-        if self._pending is None:
-            raise RuntimeError("learn() called before act()")
-        x, chosen = self._pending
-        self._pending = None
+        x, chosen = self._take_pending()
         self.buffer.push(Transition(x, chosen, float(reward_value),
                                     np.asarray(x_next, dtype=float)))
         if len(self.buffer) < self.hyper.batch_size:
             return None
         batch = self.buffer.sample(self.hyper.batch_size, self.rng)
         return td_update(self.net, batch, self.hyper.gamma, self.hyper.learning_rate)
-
-    def labels_for(self, chosen: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(g.labels[i] for g, i in zip(self.groups, chosen))
 
 
 class QTable:
@@ -388,13 +406,7 @@ class QTable:
         return tuple(int(np.argmax(t[state])) for t in self.tables)
 
     def select(self, state: int, epsilon: float, rng: np.random.Generator) -> tuple[int, ...]:
-        chosen = []
-        for t in self.tables:
-            if epsilon > 0.0 and rng.random() < epsilon:
-                chosen.append(int(rng.integers(t.shape[1])))
-            else:
-                chosen.append(int(np.argmax(t[state])))
-        return tuple(chosen)
+        return epsilon_greedy([t[state] for t in self.tables], epsilon, rng)
 
     def update(self, state: int, actions: tuple[int, ...], reward_value: float,
                next_state: int, alpha: float, gamma: float) -> None:
@@ -403,7 +415,7 @@ class QTable:
             t[state, a] += alpha * (target - t[state, a])
 
 
-class TabularQAgent:
+class TabularQAgent(_Learner):
     """Classic Q-learning over a discretized observation; same act/learn contract.
 
     The default discretization bins the mean of the observation vector into
@@ -412,17 +424,9 @@ class TabularQAgent:
 
     def __init__(self, groups: list[ActionGroup], hyper: TabularHyper,
                  rng: np.random.Generator):
-        self.groups = list(groups)
-        self.hyper = hyper
-        self.rng = rng
+        super().__init__(groups, hyper, rng)
         sizes = tuple(len(g.labels) for g in groups)
         self.table = QTable(hyper.n_bins, sizes)
-        self.step_count = 0
-        self._pending: tuple[int, tuple[int, ...]] | None = None
-
-    @property
-    def epsilon(self) -> float:
-        return self.hyper.epsilon.value(self.step_count)
 
     def discretize(self, x: np.ndarray) -> int:
         h = self.hyper
@@ -438,13 +442,7 @@ class TabularQAgent:
         return chosen
 
     def learn(self, reward_value: float, x_next: np.ndarray) -> None:
-        if self._pending is None:
-            raise RuntimeError("learn() called before act()")
-        state, chosen = self._pending
-        self._pending = None
+        state, chosen = self._take_pending()
         next_state = self.discretize(np.asarray(x_next, dtype=float))
         self.table.update(state, chosen, float(reward_value), next_state,
                           self.hyper.alpha, self.hyper.gamma)
-
-    def labels_for(self, chosen: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(g.labels[i] for g, i in zip(self.groups, chosen))

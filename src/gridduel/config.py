@@ -40,7 +40,7 @@ from .agents import (
     boundary_offset,
     default_group,
 )
-from .core import ActuatorBinding, PerformanceConfig, SensorBinding, V_QUANTITY
+from .core import PerformanceConfig, V_QUANTITY
 from .grid import GridModel, ModelValidationError, arl_poc_grid
 
 QNET = "qnet"
@@ -213,12 +213,6 @@ class AgentSpec:
     learner_kind: str
     qnet: QNetHyper | None = None
     tabular: TabularHyper | None = None
-
-    def sensor_binding(self) -> SensorBinding:
-        return SensorBinding(self.sensors)
-
-    def actuator_binding(self) -> ActuatorBinding:
-        return ActuatorBinding(tuple(default_group(ref) for ref in self.actuators))
 
     def reward_params(self) -> RewardParams:
         return self.reward
@@ -393,14 +387,19 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
             f"agents: only {only}s are present; set allow_single_class to run without both classes"
         )
 
+    device_counts = {
+        agents_mod.TRANSFORMER: len(grid.transformers),
+        agents_mod.GENERATOR: len(grid.generators),
+        agents_mod.LOAD: len(grid.loads),
+    }
     owner: dict[tuple[str, int], int] = {}
     for i, spec in enumerate(cfg.agents):
-        try:
-            spec.sensor_binding().validate_against(grid)
-            spec.actuator_binding().validate_against(grid)
-        except ValueError as e:
-            raise ConfigError(f"agents[{i}]: {e}") from e
+        for bus, _ in spec.sensors:
+            if not 0 <= bus < grid.n_bus:
+                raise ConfigError(f"agents[{i}]: sensor references missing bus {bus}")
         for ref in spec.actuators:
+            if not 0 <= ref.index < device_counts[ref.kind]:
+                raise ConfigError(f"agents[{i}]: actuator references missing {ref.kind} {ref.index}")
             key = (ref.kind, ref.index)
             if key in owner:
                 raise ConfigError(

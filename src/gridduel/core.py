@@ -1,13 +1,14 @@
 """World/agent execution cycle and the resilience analyses built on it.
 
 A :class:`WorldState` couples a grid (current actuator settings) with its
-re-solved power flow.  Agents see the world only through sensor bindings,
-act only through disjoint actuator bindings, and the round-based scheduler
+re-solved power flow.  Agents see the world only through their sensors,
+act only through disjoint actuators, and the round-based scheduler
 interleaves them one turn at a time, re-solving the grid between turns.
 
 The module also hosts the scalar system-performance measure, the
 attack-success predicate, the two phase classifiers (resilience process and
-grid operating state) and the control-asymmetry check over a finished run.
+grid operating state) and the control-asymmetry check over a performance
+series.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import agents as agents_mod
-from .agents import ActionGroup, ActuatorRef, reward as reward_fn
+from .agents import ActuatorRef, reward as reward_fn
 from .grid import GridModel
 from .powerflow import PowerFlowSolution, solve_newton_raphson
 
@@ -70,48 +71,6 @@ class PerformanceConfig:
 
 
 @dataclass(frozen=True)
-class SensorBinding:
-    """Bus/quantity pairs an agent is allowed to observe, in reading order."""
-
-    channels: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
-        if not self.channels:
-            raise ValueError("sensor binding must not be empty")
-        for bus, quantity in self.channels:
-            if quantity != V_QUANTITY:
-                raise ValueError(f"unsupported sensor quantity {quantity!r}")
-
-    def validate_against(self, grid: GridModel) -> None:
-        for bus, _ in self.channels:
-            if not 0 <= bus < grid.n_bus:
-                raise ValueError(f"sensor references missing bus {bus}")
-
-
-@dataclass(frozen=True)
-class ActuatorBinding:
-    groups: tuple[ActionGroup, ...]
-
-    def validate_against(self, grid: GridModel) -> None:
-        counts = {
-            agents_mod.TRANSFORMER: len(grid.transformers),
-            agents_mod.GENERATOR: len(grid.generators),
-            agents_mod.LOAD: len(grid.loads),
-        }
-        for g in self.groups:
-            ref = g.actuator
-            if not 0 <= ref.index < counts[ref.kind]:
-                raise ValueError(f"actuator references missing {ref.kind} {ref.index}")
-            if g.labels != agents_mod.LABELS_BY_KIND[ref.kind]:
-                raise ValueError(
-                    f"labels {g.labels} invalid for actuator kind {ref.kind!r}"
-                )
-
-    def refs(self) -> list[ActuatorRef]:
-        return [g.actuator for g in self.groups]
-
-
-@dataclass(frozen=True)
 class Action:
     actuator: ActuatorRef
     label: str
@@ -134,9 +93,9 @@ def initial_world(grid: GridModel) -> WorldState:
     return WorldState(t=0, grid=grid, solution=solve_newton_raphson(grid))
 
 
-def observe(world: WorldState, binding: SensorBinding) -> Observation:
-    """Voltage magnitudes at the bound buses; degraded when the solve failed."""
-    values = np.array([world.solution.v_pu[bus] for bus, _ in binding.channels])
+def observe(world: WorldState, sensors: Sequence[tuple[int, str]]) -> Observation:
+    """Voltage magnitudes at the sensors' buses; degraded when the solve failed."""
+    values = np.array([world.solution.v_pu[bus] for bus, _ in sensors])
     values.flags.writeable = False
     return Observation(values=values, degraded=not world.solution.converged)
 
@@ -200,14 +159,6 @@ def system_performance(world: WorldState, cfg: PerformanceConfig) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - np.abs(v - 1.0) / half_band)))
 
 
-def attack_successful(world: WorldState, cfg: PerformanceConfig) -> bool:
-    """True when any hard voltage limit is broken or the grid cannot be solved."""
-    if not world.solution.converged:
-        return True
-    v = world.solution.v_pu
-    return bool(np.any(v < cfg.v_lo) | np.any(v > cfg.v_hi))
-
-
 def operational_phase(v_pu: np.ndarray, converged: bool, cfg: PerformanceConfig) -> str:
     """Operating-state label from bus voltages and solver convergence."""
     if not converged:
@@ -220,8 +171,10 @@ def operational_phase(v_pu: np.ndarray, converged: bool, cfg: PerformanceConfig)
     return PHASE_NORMAL
 
 
-def classify_operational_phase(world: WorldState, cfg: PerformanceConfig) -> str:
-    return operational_phase(world.solution.v_pu, world.solution.converged, cfg)
+def attack_successful(world: WorldState, cfg: PerformanceConfig) -> bool:
+    """True when any hard voltage limit is broken or the grid cannot be solved."""
+    phase = operational_phase(world.solution.v_pu, world.solution.converged, cfg)
+    return phase in (PHASE_EMERGENCY, PHASE_BLACKOUT)
 
 
 class PhaseSegment(NamedTuple):
@@ -329,14 +282,6 @@ def check_asymmetry_series(
     return True, None
 
 
-def check_asymmetry(log: RunLog, cfg: PerformanceConfig, t0: int) -> tuple[bool, int | None]:
-    """Control-asymmetry verdict over a finished run, granting a grace window up to t0."""
-    for rec in log.steps:
-        if rec.t > t0 and rec.p_world <= cfg.p_fail:
-            return False, rec.t
-    return True, None
-
-
 def run_experiment(config: ExperimentConfig) -> RunLog:
     """Execute the configured duel and collect the full step-by-step log.
 
@@ -360,7 +305,7 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     for _ in range(config.rounds):
         for spec, runner in zip(config.agents, runners):
             for _ in range(config.steps_per_turn):
-                obs = observe(world, spec.sensor_binding())
+                obs = observe(world, spec.sensors)
                 chosen = runner.act(obs.values)
                 labels = runner.labels_for(chosen)
                 actions = [
@@ -368,7 +313,7 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
                     for group, label in zip(runner.groups, labels)
                 ]
                 world = apply_actions(world, actions)
-                obs_next = observe(world, spec.sensor_binding())
+                obs_next = observe(world, spec.sensors)
                 r = reward_fn(spec.reward_params(), float(np.mean(obs_next.values)))
                 runner.learn(r, obs_next.values)
                 t += 1

@@ -201,6 +201,13 @@ def test_sensor_bus_must_exist():
         load_doc(doc)
 
 
+def test_sensor_quantity_must_be_voltage():
+    doc = poc_doc()
+    doc["agents"][0]["sensors"][0]["quantity"] = "theta"
+    with pytest.raises(ConfigError, match=r"agents\[0\]\.sensors\[0\]\.quantity: unsupported quantity 'theta'"):
+        load_doc(doc)
+
+
 def test_actuator_device_must_exist():
     doc = poc_doc()
     doc["agents"][0]["actuators"][0]["index"] = 42

@@ -12,14 +12,11 @@ from gridduel.core import (
     AgentSummary,
     PerformanceConfig,
     RunLog,
-    SensorBinding,
     StepRecord,
     WorldState,
     apply_actions,
     attack_successful,
-    check_asymmetry,
     check_asymmetry_series,
-    classify_operational_phase,
     classify_resilience_phases,
     initial_world,
     observe,
@@ -50,8 +47,8 @@ def fake_world(v_pu, converged=True, t=0):
     return WorldState(t=t, grid=zero_load_grid(max(n, 2)), solution=sol)
 
 
-def all_bus_binding(n=14):
-    return SensorBinding(tuple((b, "v_pu") for b in range(n)))
+def all_bus_sensors(n=14):
+    return tuple((b, "v_pu") for b in range(n))
 
 
 # -- observe ---------------------------------------------------------------------
@@ -59,7 +56,7 @@ def all_bus_binding(n=14):
 
 def test_observe_base_case_matches_goldens(poc_grid):
     world = initial_world(poc_grid)
-    obs = observe(world, all_bus_binding())
+    obs = observe(world, all_bus_sensors())
     assert not obs.degraded
     assert obs.values.tolist() == POC_BASE_V_PU
     assert np.all((obs.values > 0.95) & (obs.values < 1.05))
@@ -67,14 +64,14 @@ def test_observe_base_case_matches_goldens(poc_grid):
 
 def test_observe_single_slack_bus(poc_grid):
     world = initial_world(poc_grid)
-    obs = observe(world, SensorBinding(((0, "v_pu"),)))
+    obs = observe(world, ((0, "v_pu"),))
     assert obs.values.tolist() == [1.02]
 
 
 def test_observe_is_pure(poc_grid):
     world = initial_world(poc_grid)
-    a = observe(world, all_bus_binding())
-    b = observe(world, all_bus_binding())
+    a = observe(world, all_bus_sensors())
+    b = observe(world, all_bus_sensors())
     assert np.array_equal(a.values, b.values)
     assert a.degraded == b.degraded
 
@@ -82,18 +79,9 @@ def test_observe_is_pure(poc_grid):
 def test_observe_degraded_on_failed_solve():
     world = initial_world(two_bus_grid(p_load_mw=100.0))
     assert not world.solution.converged
-    obs = observe(world, SensorBinding(((0, "v_pu"), (1, "v_pu"))))
+    obs = observe(world, ((0, "v_pu"), (1, "v_pu")))
     assert obs.degraded
     assert np.all(np.isfinite(obs.values))
-
-
-def test_sensor_binding_validation(poc_grid):
-    with pytest.raises(ValueError, match="empty"):
-        SensorBinding(())
-    with pytest.raises(ValueError, match="quantity"):
-        SensorBinding(((0, "theta"),))
-    with pytest.raises(ValueError, match="missing bus"):
-        SensorBinding(((99, "v_pu"),)).validate_against(poc_grid)
 
 
 # -- apply_actions ------------------------------------------------------------------
@@ -190,7 +178,8 @@ def test_attack_success_cases(poc_grid):
 
 
 def test_operational_phase_cases(poc_grid):
-    assert classify_operational_phase(initial_world(poc_grid), CFG) == "normal"
+    base = initial_world(poc_grid).solution
+    assert operational_phase(base.v_pu, base.converged, CFG) == "normal"
     v = np.ones(14)
     v[5] = 1.07
     assert operational_phase(v, True, CFG) == "alert"
@@ -258,8 +247,10 @@ def fake_runlog(p_values):
 def test_check_asymmetry_over_runlog():
     cfg = PerformanceConfig(p_fail=0.5)
     log = fake_runlog([1.0, 1.0, 0.4, 1.0])
-    assert check_asymmetry(log, cfg, t0=0) == (False, 3)
-    assert check_asymmetry(log, cfg, t0=3) == (True, None)
+    p_series = [rec.p_world for rec in log.steps]
+    first_t = log.steps[0].t
+    assert check_asymmetry_series(p_series, cfg.p_fail, t0=0, first_t=first_t) == (False, 3)
+    assert check_asymmetry_series(p_series, cfg.p_fail, t0=3, first_t=first_t) == (True, None)
 
 
 # -- resilience phases ------------------------------------------------------------------
