@@ -36,6 +36,11 @@ def boundary_offset(sigma: float, deviation: float = 0.05) -> float:
     return math.exp(-(deviation**2) / (2.0 * sigma**2))
 
 
+def usable_sigma(sigma: float) -> bool:
+    """A bell width the reward can divide by: positive, and its square does not underflow to 0."""
+    return sigma > 0 and sigma**2 > 0
+
+
 @dataclass(frozen=True)
 class RewardParams:
     mu: float = 1.0
@@ -44,8 +49,8 @@ class RewardParams:
     agent_class: str = DEFENDER
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not usable_sigma(self.sigma):
+            raise ValueError("sigma must be > 0, with sigma**2 > 0")
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must be in (0, 1)")
         if self.agent_class not in (ATTACKER, DEFENDER):
@@ -166,11 +171,7 @@ def forward(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
 def epsilon_greedy(
     q_groups: list[np.ndarray], epsilon: float, rng: np.random.Generator
 ) -> tuple[int, ...]:
-    """Index of the chosen label per group; argmax ties go to the lowest index.
-
-    The exploration draw is made only when epsilon > 0, so a greedy policy
-    leaves the generator untouched.
-    """
+    """One label index per group, argmax ties to the lowest; rng is drawn only when epsilon > 0."""
     chosen = []
     for q in q_groups:
         if epsilon > 0.0 and rng.random() < epsilon:
@@ -277,6 +278,14 @@ class EpsilonSchedule:
     end: float = 0.05
     decay_steps: int = 1000
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.start <= 1.0:
+            raise ValueError("epsilon_start must be in [0, 1]")
+        if not 0.0 <= self.end <= 1.0:
+            raise ValueError("epsilon_end must be in [0, 1]")
+        if self.decay_steps < 0:
+            raise ValueError("epsilon_decay_steps must be >= 0")
+
     def value(self, step: int) -> float:
         if step >= self.decay_steps:
             return self.end
@@ -320,8 +329,14 @@ class QNetHyper:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
+        if not self.learning_rate >= 0.0:
+            raise ValueError("learning_rate must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.batch_size > self.replay_capacity:
             raise ValueError("batch_size cannot exceed replay_capacity")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
 
 
 @dataclass
@@ -334,22 +349,26 @@ class TabularHyper:
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must be in [0, 1]")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
+        if self.n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
+        if not self.bin_lo < self.bin_hi:
+            raise ValueError("bin_lo must be < bin_hi")
 
 
 class _Learner:
-    """State and protocol both learners share.
+    """What both learners share: groups, exploration schedule and the turn ``act`` leaves pending.
 
-    ``act`` maps an observation to one label index per group, records the
-    turn as pending and advances the exploration schedule; ``learn``
-    completes the pending turn with its reward and follow-up observation.
-    Each learner defines both methods on its own class.
+    ``learn`` completes that turn; each learner defines ``act`` and ``learn`` on its own class.
     """
 
     def __init__(self, groups: list[ActionGroup], hyper: QNetHyper | TabularHyper,
                  rng: np.random.Generator):
         self.groups = list(groups)
+        self.group_sizes = tuple(len(g.labels) for g in groups)
         self.hyper = hyper
         self.rng = rng
         self.step_count = 0
@@ -375,8 +394,7 @@ class QNetAgent(_Learner):
     def __init__(self, groups: list[ActionGroup], n_in: int, hyper: QNetHyper,
                  rng: np.random.Generator):
         super().__init__(groups, hyper, rng)
-        sizes = tuple(len(g.labels) for g in groups)
-        self.net = init_qnetwork(n_in, sizes, hyper.hidden, rng)
+        self.net = init_qnetwork(n_in, self.group_sizes, hyper.hidden, rng)
         self.buffer = ReplayBuffer(hyper.replay_capacity)
 
     def act(self, x: np.ndarray) -> tuple[int, ...]:
@@ -425,8 +443,7 @@ class TabularQAgent(_Learner):
     def __init__(self, groups: list[ActionGroup], hyper: TabularHyper,
                  rng: np.random.Generator):
         super().__init__(groups, hyper, rng)
-        sizes = tuple(len(g.labels) for g in groups)
-        self.table = QTable(hyper.n_bins, sizes)
+        self.table = QTable(hyper.n_bins, self.group_sizes)
 
     def discretize(self, x: np.ndarray) -> int:
         h = self.hyper

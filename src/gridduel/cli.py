@@ -17,7 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .agents import TrainingDiverged
-from .config import ConfigError, load_config_path
+from .config import (ConfigError, _as_dict, _as_list, _float, _int, _json_object, _numbers, _pop,
+                     load_config_path)
 from .core import check_asymmetry_series, run_experiment
 from .grid import ModelValidationError
 from .powerflow import solve_newton_raphson
@@ -139,41 +140,43 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _load_metrics(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return _json_object(Path(path).read_text(encoding="utf-8"), "metrics")
+
+
+def _first_step(doc: dict) -> int:
+    """Time of the first metrics sample; 0 when the file has no steps."""
+    steps = _as_list(doc.get("steps", []), "steps")
+    return _int(steps[0], "steps[0]") if steps else 0
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     doc = _load_metrics(args.metrics)
     name = args.series
     if name in ("mean_voltage", "p_world"):
-        series = doc[name]
+        series = _numbers(_pop(doc, name, "metrics"), name)
     elif name.startswith("cumulative_positive_rewards."):
-        agent_id = name.split(".", 1)[1]
-        try:
-            series = doc["cumulative_positive_rewards"][agent_id]
-        except KeyError:
-            print(f"error: no agent {agent_id!r} in metrics", file=sys.stderr)
-            return 1
+        ctx = "cumulative_positive_rewards"
+        by_agent = _as_dict(_pop(doc, ctx, "metrics"), ctx)
+        series = _numbers(_pop(by_agent, name.split(".", 1)[1], ctx), name)
     else:
         print(f"error: unknown series {name!r}; use mean_voltage, p_world or "
               "cumulative_positive_rewards.<agent_id>", file=sys.stderr)
         return 1
-    if not series:
+    if not len(series):
         print("error: series is empty", file=sys.stderr)
         return 1
-    steps = doc.get("steps") or [0]
     emit_plot(series, args.out, title=f"{doc.get('name', '')}: {name}",
-              x_label="step", y_label=name, x_start=int(steps[0]))
+              x_label="step", y_label=name, x_start=_first_step(doc))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_asymmetry(args: argparse.Namespace) -> int:
     doc = _load_metrics(args.metrics)
-    p_series = doc["p_world"]
-    p_fail = doc["performance"]["p_fail"]
-    first_t = int(doc["steps"][0]) if doc.get("steps") else 0
-    ok, violation = check_asymmetry_series(p_series, p_fail, args.t0, first_t=first_t)
+    p_series = _numbers(_pop(doc, "p_world", "metrics"), "p_world")
+    performance = _as_dict(_pop(doc, "performance", "metrics"), "performance")
+    p_fail = _float(_pop(performance, "p_fail", "performance"), "performance.p_fail")
+    ok, violation = check_asymmetry_series(p_series, p_fail, args.t0, first_t=_first_step(doc))
     if ok:
         print(f"holds: p stayed above p_fail={p_fail:.6g} for all t > {args.t0}")
     else:

@@ -39,6 +39,7 @@ from .agents import (
     TabularQAgent,
     boundary_offset,
     default_group,
+    usable_sigma,
 )
 from .core import PerformanceConfig, V_QUANTITY
 from .grid import GridModel, ModelValidationError, arl_poc_grid
@@ -53,10 +54,18 @@ _HYPER = {QNET: QNetHyper, TABULAR: TabularHyper}
 
 
 class ConfigError(ValueError):
-    """Raised when an experiment document fails parsing or validation."""
+    """Raised when an input document (experiment, run log, metrics) fails parsing or validation."""
 
 
 # -- strict-dict helpers -------------------------------------------------------
+
+
+def _json_object(text: str, ctx: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
+    return _as_dict(doc, ctx)
 
 
 def _as_dict(value, ctx: str) -> dict:
@@ -108,7 +117,18 @@ def _bool(value, ctx: str) -> bool:
     return value
 
 
-_SCALARS = {int: _int, float: _float, str: _str, bool: _bool}
+def _numbers(value, ctx: str) -> np.ndarray:
+    """A flat array of numbers as a float array; one numpy pass checks every element."""
+    try:
+        arr = np.asarray(_as_list(value, ctx))
+        if arr.ndim == 1 and arr.dtype.kind in "if":
+            return arr.astype(float, copy=False)
+    except ValueError:  # ragged nesting
+        pass
+    raise ConfigError(f"{ctx}: expected an array of numbers")
+
+
+_SCALARS = {int: _int, float: _float, str: _str, bool: _bool, np.ndarray: _numbers}
 
 
 # -- field-driven codec --------------------------------------------------------
@@ -307,7 +327,7 @@ def _parse_agent(raw, idx: int) -> AgentSpec:
     rd = _as_dict(d.pop("reward", {}), c)
     if "c" not in rd:  # by default the reward crosses zero at 5 % deviation for this sigma
         sigma = _float(rd.get("sigma", agents_mod.DEFAULT_SIGMA), f"{c}.sigma")
-        rd["c"] = boundary_offset(sigma) if sigma > 0 else agents_mod.DEFAULT_C
+        rd["c"] = boundary_offset(sigma) if usable_sigma(sigma) else agents_mod.DEFAULT_C
     reward_params = _decode(RewardParams, rd, c, agent_class=agent_class)
 
     c = f"{ctx}.learner"
@@ -330,11 +350,7 @@ def _parse_agent(raw, idx: int) -> AgentSpec:
 
 def load_config(text: str) -> ExperimentConfig:
     """Parse and fully validate one experiment document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
-    d = _as_dict(doc, "config")
+    d = _json_object(text, "config")
 
     name = _str(_pop(d, "name", "config"), "name")
     seed = _int(_pop(d, "seed", "config"), "seed")

@@ -8,7 +8,7 @@ Re-running the config a log was produced from regenerates identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -25,6 +25,8 @@ from .core import (
     classify_resilience_phases,
     operational_phase,
 )
+from .config import (_as_dict, _as_list, _bool, _decode, _done, _float, _json_object, _numbers,
+                     _pop, _str)
 
 GRID_LOG_HEADER = "step,bus_id,v_pu,theta_rad,p_inj_pu,q_inj_pu"
 AGENT_LOG_HEADER = "step,agent_id,inputs,outputs,reward"
@@ -65,6 +67,19 @@ def write_agent_log(log: RunLog, path: str | Path) -> None:
 
 # -- full run-log round trip ----------------------------------------------------
 
+# Keys of an agent object in run logs and metrics, in AgentSummary field order.
+_AGENT_KEYS = ("id", "class", "learner")
+_STEP_KEYS = tuple(f.name for f in fields(StepRecord))
+# JSON type of each step field that is not a float array, as write_run_log emits it.
+_STEP_SCALARS = {"t": int, "agent_id": str, "y": list, "reward": float, "p_world": float,
+                 "converged": bool}
+_STEP_LISTS = tuple(key for key in _STEP_KEYS if _STEP_SCALARS.get(key, list) is list)
+_FLOAT64 = np.dtype(float)
+
+
+def _agents_doc(log: RunLog) -> list[dict]:
+    return [dict(zip(_AGENT_KEYS, vars(a).values())) for a in log.agents]
+
 
 def write_run_log(log: RunLog, path: str | Path) -> None:
     """Self-contained JSON form of a run log, sufficient to recompute metrics."""
@@ -75,71 +90,67 @@ def write_run_log(log: RunLog, path: str | Path) -> None:
         "rounds": log.rounds,
         "steps_per_turn": log.steps_per_turn,
         "performance": asdict(log.performance),
-        "agents": [
-            {"id": a.agent_id, "class": a.agent_class, "learner": a.learner_kind}
-            for a in log.agents
-        ],
+        "agents": _agents_doc(log),
         "initial": {
             "v_pu": list(log.initial_v_pu),
             "theta_rad": list(log.initial_theta_rad),
             "converged": log.initial_converged,
             "p_world": log.initial_p_world,
         },
-        "steps": [
-            {
-                "t": rec.t,
-                "agent_id": rec.agent_id,
-                "x": list(rec.x),
-                "y": list(rec.y),
-                "reward": rec.reward,
-                "p_world": rec.p_world,
-                "v_pu": list(rec.v_pu),
-                "theta_rad": list(rec.theta_rad),
-                "p_inj_pu": list(rec.p_inj_pu),
-                "q_inj_pu": list(rec.q_inj_pu),
-                "converged": rec.converged,
-            }
-            for rec in log.steps
-        ],
+        # One object per step, keyed by the StepRecord fields in declaration order.
+        "steps": [{**vars(rec), **{key: list(getattr(rec, key)) for key in _STEP_LISTS}}
+                  for rec in log.steps],
     }
     _write_text(path, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
 
 
+def _steps_by_column(steps: list) -> tuple[StepRecord, ...] | None:
+    """Steps checked a column at a time, arrays by the dtype numpy infers; None if any value fails."""
+    try:
+        cols = {key: [s[key] for s in steps] for key in _STEP_KEYS}
+        for key in _STEP_KEYS:
+            if key not in _STEP_SCALARS:  # flat float arrays; other numbers take the slow path
+                cols[key] = [np.asarray(v) for v in cols[key]]
+                if not {a.dtype for a in cols[key]} <= {_FLOAT64} or np.concatenate(cols[key]).ndim != 1:
+                    return None
+    except (KeyError, TypeError, ValueError):  # not an object, a missing key, no steps, ragged nesting
+        return None
+    if (any(len(s) != len(_STEP_KEYS) for s in steps)
+            or not all({type(v) for v in cols[key]} <= {tp} for key, tp in _STEP_SCALARS.items())
+            or not {type(v) for y in cols["y"] for v in y} <= {str}
+            or not np.isfinite(cols["reward"] + cols["p_world"]).all()):
+        return None
+    cols["y"] = [tuple(y) for y in cols["y"]]
+    return tuple(StepRecord(*values) for values in zip(*cols.values()))
+
+
 def read_run_log(path: str | Path) -> RunLog:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    perf = PerformanceConfig(**doc["performance"])
-    steps = tuple(
-        StepRecord(
-            t=s["t"],
-            agent_id=s["agent_id"],
-            x=np.array(s["x"], dtype=float),
-            y=tuple(s["y"]),
-            reward=float(s["reward"]),
-            p_world=float(s["p_world"]),
-            v_pu=np.array(s["v_pu"], dtype=float),
-            theta_rad=np.array(s["theta_rad"], dtype=float),
-            p_inj_pu=np.array(s["p_inj_pu"], dtype=float),
-            q_inj_pu=np.array(s["q_inj_pu"], dtype=float),
-            converged=bool(s["converged"]),
-        )
-        for s in doc["steps"]
+    """Load a file written by write_run_log; a malformed one raises ConfigError naming the key."""
+    top = "run_log"
+    d = _json_object(Path(path).read_text(encoding="utf-8"), top)
+    agents = []
+    for i, raw in enumerate(_as_list(_pop(d, "agents", top), f"{top}.agents")):
+        ctx = f"{top}.agents[{i}]"
+        a = _as_dict(raw, ctx)
+        agents.append(AgentSummary(*(_str(_pop(a, key, ctx), f"{ctx}.{key}") for key in _AGENT_KEYS)))
+        _done(a, ctx)
+    ctx = f"{top}.initial"
+    initial = _as_dict(_pop(d, "initial", top), ctx)
+    steps = _as_list(_pop(d, "steps", top), f"{top}.steps")
+    records = _steps_by_column(steps)
+    if records is None:  # decode field by field so the error names the first bad key
+        records = tuple(_decode(StepRecord, s, f"{top}.steps[{i}]") for i, s in enumerate(steps))
+    log = _decode(
+        RunLog, d, top,
+        agents=tuple(agents),
+        steps=records,
+        initial_v_pu=_numbers(_pop(initial, "v_pu", ctx), f"{ctx}.v_pu"),
+        initial_theta_rad=_numbers(_pop(initial, "theta_rad", ctx), f"{ctx}.theta_rad"),
+        initial_converged=_bool(_pop(initial, "converged", ctx), f"{ctx}.converged"),
+        initial_p_world=_float(_pop(initial, "p_world", ctx), f"{ctx}.p_world"),
     )
-    return RunLog(
-        config_fingerprint=doc["config_fingerprint"],
-        name=doc["name"],
-        seed=int(doc["seed"]),
-        rounds=int(doc["rounds"]),
-        steps_per_turn=int(doc["steps_per_turn"]),
-        performance=perf,
-        agents=tuple(
-            AgentSummary(a["id"], a["class"], a["learner"]) for a in doc["agents"]
-        ),
-        initial_v_pu=np.array(doc["initial"]["v_pu"], dtype=float),
-        initial_theta_rad=np.array(doc["initial"]["theta_rad"], dtype=float),
-        initial_converged=bool(doc["initial"]["converged"]),
-        initial_p_world=float(doc["initial"]["p_world"]),
-        steps=steps,
-    )
+    _done(initial, ctx)
+    return log
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -199,10 +210,7 @@ def metrics_doc(report: MetricsReport, log: RunLog) -> dict:
         "steps_per_turn": log.steps_per_turn,
         "config_fingerprint": log.config_fingerprint,
         "performance": asdict(log.performance),
-        "agents": [
-            {"id": a.agent_id, "class": a.agent_class, "learner": a.learner_kind}
-            for a in log.agents
-        ],
+        "agents": _agents_doc(log),
         "steps": list(report.steps),
         "mean_voltage": list(report.mean_voltage),
         "p_world": list(report.p_world),

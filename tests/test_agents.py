@@ -165,8 +165,11 @@ def test_select_actions_with_epsilon_zero_ignores_rng_state(rng):
     net = init_qnetwork(3, (3, 3), hidden=4, rng=rng)
     x = np.array([0.2, 0.4, -0.3])
     a = select_actions(net, x, 0.0, np.random.default_rng(1))
-    b = select_actions(net, x, 0.0, np.random.default_rng(999))
+    untouched = np.random.default_rng(999)
+    before = untouched.bit_generator.state
+    b = select_actions(net, x, 0.0, untouched)
     assert a == b
+    assert untouched.bit_generator.state == before  # a greedy pick draws nothing
 
 
 # -- TD learning -------------------------------------------------------------------

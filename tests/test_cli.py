@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -216,3 +217,75 @@ def test_log_level_env_var_controls_stderr_only(tmp_path):
     quiet = (tmp_path / "quiet" / "out" / "two_bus_agent_log.csv").read_bytes()
     loud = (tmp_path / "loud" / "out" / "two_bus_agent_log.csv").read_bytes()
     assert quiet == loud
+
+
+def _edited(**changes):
+    def edit(doc):
+        doc.update(changes)
+        return doc
+    return edit
+
+
+def _step_edit(fn):
+    def edit(doc):
+        fn(doc["steps"][1])
+        return doc
+    return edit
+
+
+def _without(*keys):
+    def edit(doc):
+        for key in keys:
+            del doc[key]
+        return doc
+    return edit
+
+
+PLOT = ["plot", "--series", "mean_voltage", "--out", "x.svg", "--metrics"]
+ASYMMETRY = ["asymmetry", "--t0", "0", "--metrics"]
+
+
+@pytest.mark.parametrize(
+    "source, command, edit, message",
+    [
+        ("run_log", ["metrics", "--log"], lambda doc: {"name": "x"},
+         r"run_log: missing required key 'agents'"),
+        ("run_log", ["metrics", "--log"], _without("initial"),
+         r"run_log: missing required key 'initial'"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.pop("v_pu")),
+         r"run_log\.steps\[1\]: missing required key 'v_pu'"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].__setitem__(0, "1.0")),
+         r"run_log\.steps\[1\]\.v_pu: expected an array of numbers"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(t="2")),
+         r"run_log\.steps\[1\]\.t: expected an integer"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(y=[0])),
+         r"run_log\.steps\[1\]\.y\[0\]: expected a string"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(reward=float("nan"))),
+         r"run_log\.steps\[1\]\.reward: expected a finite number"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(note="x")),
+         r"run_log\.steps\[1\]: unknown key\(s\) \['note'\]"),
+        ("run_log", ["metrics", "--log"], _edited(performance={"p_fail": 2.0}),
+         r"run_log\.performance: require 0 <= p_fail < p_star <= 1"),
+        ("metrics", PLOT, _without("mean_voltage"), r"metrics: missing required key 'mean_voltage'"),
+        ("metrics", PLOT, _edited(mean_voltage=[1.0, None]), r"mean_voltage: expected an array of numbers"),
+        ("metrics", PLOT, _edited(steps="1"), r"steps: expected an array"),
+        ("metrics", ["plot", "--series", "cumulative_positive_rewards.ghost", "--out", "x.svg", "--metrics"],
+         lambda doc: doc, r"cumulative_positive_rewards: missing required key 'ghost'"),
+        ("metrics", ASYMMETRY, _without("p_world"), r"metrics: missing required key 'p_world'"),
+        ("metrics", ASYMMETRY, _edited(performance={}), r"performance: missing required key 'p_fail'"),
+        ("metrics", ASYMMETRY, lambda doc: [doc], r"metrics: expected an object"),
+    ],
+    ids=["run_log_without_agents", "run_log_without_initial", "step_without_v_pu", "string_voltage",
+         "string_step_time", "numeric_label", "nan_reward", "unknown_step_key", "bad_performance",
+         "plot_without_series", "plot_null_sample", "plot_steps_not_array", "plot_unknown_agent",
+         "asymmetry_without_p_world", "asymmetry_without_p_fail", "asymmetry_on_array"],
+)
+def test_malformed_run_log_or_metrics_exits_one(tmp_path, monkeypatch, capsys, source, command, edit, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", TWO_BUS]) == 0
+    doc = json.loads((tmp_path / "out" / f"two_bus_{source}.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(doc)), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*command, str(bad)]) == 1
+    assert re.search("^error: " + message, capsys.readouterr().err)

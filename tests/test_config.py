@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridduel.cli import main
 from gridduel.config import ConfigError, fixture_path, load_config, load_config_path, save_config
 
 POC = fixture_path("poc.json")
@@ -262,6 +264,43 @@ def test_bad_gamma_rejected():
     doc["agents"][0]["learner"]["gamma"] = 1.0
     with pytest.raises(ConfigError, match="gamma"):
         load_doc(doc)
+
+
+def _learner_edit(**values):
+    return lambda doc: doc["agents"][0]["learner"].update(values)
+
+
+def _tiny_sigma_without_c(doc):
+    doc["agents"][0]["reward"] = {"sigma": 1e-200}  # sigma**2 underflows to 0
+
+
+@pytest.mark.parametrize(
+    "path, edit, message",
+    [
+        (TWO_BUS, _learner_edit(n_bins=0), r"learner: n_bins must be >= 1"),
+        (TWO_BUS, _tiny_sigma_without_c, r"reward: sigma must be > 0"),
+        (POC, _learner_edit(hidden=0), r"learner: hidden must be >= 1"),
+        (POC, _learner_edit(learning_rate=-0.001), r"learner: learning_rate must be >= 0"),
+        (POC, _learner_edit(batch_size=0), r"learner: batch_size must be >= 1"),
+        (TWO_BUS, _learner_edit(bin_lo=1.2), r"learner: bin_lo must be < bin_hi"),
+        (TWO_BUS, _learner_edit(alpha=1.5), r"learner: alpha must be in \[0, 1\]"),
+        (TWO_BUS, _learner_edit(epsilon_start=5), r"learner: epsilon_start must be in \[0, 1\]"),
+        (POC, _learner_edit(epsilon_end=-0.1), r"learner: epsilon_end must be in \[0, 1\]"),
+        (TWO_BUS, _learner_edit(epsilon_decay_steps=-1), r"learner: epsilon_decay_steps must be >= 0"),
+    ],
+    ids=["n_bins_zero", "sigma_squared_underflows", "hidden_zero", "negative_learning_rate",
+         "batch_size_zero", "bin_lo_above_bin_hi", "alpha_above_one", "epsilon_start_above_one",
+         "negative_epsilon_end", "negative_decay_steps"],
+)
+def test_out_of_range_hyperparameters_exit_1(path, edit, message, tmp_path, monkeypatch, capsys):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config)]) == 1
+    assert re.search(r"agents\[0\]\." + message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_rounds_rejected():

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridduel.agents import reward as reward_fn
-from gridduel.core import PerformanceConfig, run_experiment
+from gridduel.core import AgentSummary, PerformanceConfig, RunLog, StepRecord, run_experiment
 from gridduel.results import (
     AGENT_LOG_HEADER,
     GRID_LOG_HEADER,
@@ -116,6 +118,48 @@ def test_run_log_json_round_trip(tmp_path, short_run):
     assert restored.config_fingerprint == log.config_fingerprint
     assert len(restored.steps) == len(log.steps)
     assert np.array_equal(restored.steps[-1].v_pu, log.steps[-1].v_pu)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# Any text the UTF-8 writer can encode: no lone surrogates.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+def _vectors(min_size=0, max_size=3):
+    return st.lists(_FLOATS, min_size=min_size, max_size=max_size).map(np.array)
+
+
+@st.composite
+def run_logs(draw):
+    n_bus = draw(st.integers(1, 4))
+    bus_vector = _vectors(n_bus, n_bus)
+    ids = draw(st.lists(_TEXT, min_size=1, max_size=2, unique=True))
+    step = st.builds(
+        StepRecord, t=st.integers(0, 10**6), agent_id=st.sampled_from(ids), x=_vectors(),
+        y=st.lists(_TEXT, max_size=3).map(tuple), reward=_FLOATS, p_world=_FLOATS,
+        v_pu=bus_vector, theta_rad=bus_vector, p_inj_pu=bus_vector, q_inj_pu=bus_vector,
+        converged=st.booleans(),
+    )
+    p_star = draw(st.floats(0.01, 1.0))
+    return RunLog(
+        config_fingerprint=draw(_TEXT), name=draw(_TEXT), seed=draw(st.integers(0, 2**64 - 1)),
+        rounds=draw(st.integers(0, 10**6)), steps_per_turn=draw(st.integers(1, 5)),
+        performance=PerformanceConfig(p_star=p_star, p_fail=p_star * draw(st.floats(0.0, 0.99)),
+                                      v_lo=draw(st.floats(0.5, 0.99)), v_hi=draw(st.floats(1.01, 1.5))),
+        agents=tuple(AgentSummary(i, draw(_TEXT), draw(_TEXT)) for i in ids),
+        initial_v_pu=draw(bus_vector), initial_theta_rad=draw(bus_vector),
+        initial_converged=draw(st.booleans()), initial_p_world=draw(_FLOATS),
+        steps=tuple(draw(st.lists(step, max_size=4))),
+    )
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(log=run_logs())
+def test_run_log_write_read_write_is_byte_identical(tmp_path_factory, log):
+    directory = tmp_path_factory.mktemp("run_log")
+    write_run_log(log, directory / "first.json")
+    write_run_log(read_run_log(directory / "first.json"), directory / "second.json")
+    assert (directory / "second.json").read_bytes() == (directory / "first.json").read_bytes()
 
 
 # -- metrics -----------------------------------------------------------------------------
