@@ -37,8 +37,8 @@ def boundary_offset(sigma: float, deviation: float = 0.05) -> float:
 
 
 def usable_sigma(sigma: float) -> bool:
-    """A bell width the reward can divide by: positive, and its square does not underflow to 0."""
-    return sigma > 0 and sigma**2 > 0
+    """A bell width the reward can divide by: positive, its square neither 0 nor infinite."""
+    return sigma > 0 and 0 < sigma * sigma < math.inf  # float ** raises on overflow, * gives inf
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class RewardParams:
 
     def __post_init__(self) -> None:
         if not usable_sigma(self.sigma):
-            raise ValueError("sigma must be > 0, with sigma**2 > 0")
+            raise ValueError("sigma must be > 0, with sigma**2 finite and > 0")
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must be in (0, 1)")
         if self.agent_class not in (ATTACKER, DEFENDER):

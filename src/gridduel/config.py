@@ -135,13 +135,13 @@ _SCALARS = {int: _int, float: _float, str: _str, bool: _bool, np.ndarray: _numbe
 
 
 @functools.cache
-def _fields(cls) -> tuple[tuple[str, object, object], ...]:
-    """(name, resolved type, default or MISSING) per field of cls, in declaration order."""
+def _fields(cls) -> tuple[tuple[str, object, object, typing.Callable], ...]:
+    """(name, resolved type, default or MISSING, reader) per field of cls, in declaration order."""
     hints = typing.get_type_hints(cls)
     out = []
     for f in dataclasses.fields(cls):
         default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
-        out.append((f.name, hints[f.name], default))
+        out.append((f.name, hints[f.name], default, _reader(hints[f.name])))
     return tuple(out)
 
 
@@ -155,14 +155,14 @@ def _decode(cls, raw, ctx: str, **fixed):
 
 def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
     kwargs = dict(fixed)
-    for name, tp, default in _fields(cls):
+    for name, tp, default, read in _fields(cls):
         if name in fixed:
             continue
         key = prefix + name
         if tp is EpsilonSchedule:  # flat epsilon_start/_end/_decay_steps keys of the learner block
             kwargs[name] = _take(tp, d, ctx, f"{key}_", {})
         elif key in d:
-            kwargs[name] = _value(tp, d.pop(key), f"{ctx}.{key}")
+            kwargs[name] = read(d.pop(key), f"{ctx}.{key}")
         elif default is dataclasses.MISSING:
             raise ConfigError(f"{ctx}: missing required key '{key}'")
         else:
@@ -175,20 +175,24 @@ def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
         raise ConfigError(f"{ctx}: {e}") from e
 
 
-def _value(tp, raw, ctx: str):
+@functools.cache
+def _reader(tp):
+    """The check-and-convert function (raw, ctx) for a field of type tp, built once per type."""
     if tp in _SCALARS:
-        return _SCALARS[tp](raw, ctx)
+        return _SCALARS[tp]
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        return tuple(_value(args[0], item, f"{ctx}[{i}]") for i, item in enumerate(_as_list(raw, ctx)))
+        item = _reader(args[0])
+        return lambda raw, ctx: tuple(item(v, f"{ctx}[{i}]") for i, v in enumerate(_as_list(raw, ctx)))
     if type(None) in args:  # X | None
-        return None if raw is None else _value(args[0], raw, ctx)
-    return _decode(tp, raw, ctx)
+        inner = _reader(args[0])
+        return lambda raw, ctx: None if raw is None else inner(raw, ctx)
+    return functools.partial(_decode, tp)
 
 
 def _encode(obj, prefix: str = "") -> dict:
     doc: dict = {}
-    for name, tp, default in _fields(type(obj)):
+    for name, tp, default, _ in _fields(type(obj)):
         value = getattr(obj, name)
         if tp is EpsilonSchedule:
             doc.update(_encode(value, f"{prefix}{name}_"))

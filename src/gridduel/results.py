@@ -8,7 +8,7 @@ Re-running the config a log was produced from regenerates identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -69,12 +69,6 @@ def write_agent_log(log: RunLog, path: str | Path) -> None:
 
 # Keys of an agent object in run logs and metrics, in AgentSummary field order.
 _AGENT_KEYS = ("id", "class", "learner")
-_STEP_KEYS = tuple(f.name for f in fields(StepRecord))
-# JSON type of each step field that is not a float array, as write_run_log emits it.
-_STEP_SCALARS = {"t": int, "agent_id": str, "y": list, "reward": float, "p_world": float,
-                 "converged": bool}
-_STEP_LISTS = tuple(key for key in _STEP_KEYS if _STEP_SCALARS.get(key, list) is list)
-_FLOAT64 = np.dtype(float)
 
 
 def _agents_doc(log: RunLog) -> list[dict]:
@@ -98,30 +92,10 @@ def write_run_log(log: RunLog, path: str | Path) -> None:
             "p_world": log.initial_p_world,
         },
         # One object per step, keyed by the StepRecord fields in declaration order.
-        "steps": [{**vars(rec), **{key: list(getattr(rec, key)) for key in _STEP_LISTS}}
-                  for rec in log.steps],
+        "steps": [{key: list(value) if isinstance(value, (tuple, np.ndarray)) else value
+                   for key, value in vars(rec).items()} for rec in log.steps],
     }
     _write_text(path, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
-
-
-def _steps_by_column(steps: list) -> tuple[StepRecord, ...] | None:
-    """Steps checked a column at a time, arrays by the dtype numpy infers; None if any value fails."""
-    try:
-        cols = {key: [s[key] for s in steps] for key in _STEP_KEYS}
-        for key in _STEP_KEYS:
-            if key not in _STEP_SCALARS:  # flat float arrays; other numbers take the slow path
-                cols[key] = [np.asarray(v) for v in cols[key]]
-                if not {a.dtype for a in cols[key]} <= {_FLOAT64} or np.concatenate(cols[key]).ndim != 1:
-                    return None
-    except (KeyError, TypeError, ValueError):  # not an object, a missing key, no steps, ragged nesting
-        return None
-    if (any(len(s) != len(_STEP_KEYS) for s in steps)
-            or not all({type(v) for v in cols[key]} <= {tp} for key, tp in _STEP_SCALARS.items())
-            or not {type(v) for y in cols["y"] for v in y} <= {str}
-            or not np.isfinite(cols["reward"] + cols["p_world"]).all()):
-        return None
-    cols["y"] = [tuple(y) for y in cols["y"]]
-    return tuple(StepRecord(*values) for values in zip(*cols.values()))
 
 
 def read_run_log(path: str | Path) -> RunLog:
@@ -137,13 +111,10 @@ def read_run_log(path: str | Path) -> RunLog:
     ctx = f"{top}.initial"
     initial = _as_dict(_pop(d, "initial", top), ctx)
     steps = _as_list(_pop(d, "steps", top), f"{top}.steps")
-    records = _steps_by_column(steps)
-    if records is None:  # decode field by field so the error names the first bad key
-        records = tuple(_decode(StepRecord, s, f"{top}.steps[{i}]") for i, s in enumerate(steps))
     log = _decode(
         RunLog, d, top,
         agents=tuple(agents),
-        steps=records,
+        steps=tuple(_decode(StepRecord, s, f"{top}.steps[{i}]") for i, s in enumerate(steps)),
         initial_v_pu=_numbers(_pop(initial, "v_pu", ctx), f"{ctx}.v_pu"),
         initial_theta_rad=_numbers(_pop(initial, "theta_rad", ctx), f"{ctx}.theta_rad"),
         initial_converged=_bool(_pop(initial, "converged", ctx), f"{ctx}.converged"),

@@ -270,15 +270,17 @@ def _learner_edit(**values):
     return lambda doc: doc["agents"][0]["learner"].update(values)
 
 
-def _tiny_sigma_without_c(doc):
-    doc["agents"][0]["reward"] = {"sigma": 1e-200}  # sigma**2 underflows to 0
+def _reward(**values):
+    return lambda doc: doc["agents"][0].update(reward=values)
 
 
 @pytest.mark.parametrize(
     "path, edit, message",
     [
         (TWO_BUS, _learner_edit(n_bins=0), r"learner: n_bins must be >= 1"),
-        (TWO_BUS, _tiny_sigma_without_c, r"reward: sigma must be > 0"),
+        (TWO_BUS, _reward(sigma=1e-200), r"reward: sigma must be > 0"),  # sigma**2 underflows to 0
+        (TWO_BUS, _reward(sigma=1e200), r"reward: sigma must be > 0"),  # sigma**2 overflows
+        (TWO_BUS, _reward(sigma=1e200, c=0.5), r"reward: sigma must be > 0"),
         (POC, _learner_edit(hidden=0), r"learner: hidden must be >= 1"),
         (POC, _learner_edit(learning_rate=-0.001), r"learner: learning_rate must be >= 0"),
         (POC, _learner_edit(batch_size=0), r"learner: batch_size must be >= 1"),
@@ -288,7 +290,8 @@ def _tiny_sigma_without_c(doc):
         (POC, _learner_edit(epsilon_end=-0.1), r"learner: epsilon_end must be in \[0, 1\]"),
         (TWO_BUS, _learner_edit(epsilon_decay_steps=-1), r"learner: epsilon_decay_steps must be >= 0"),
     ],
-    ids=["n_bins_zero", "sigma_squared_underflows", "hidden_zero", "negative_learning_rate",
+    ids=["n_bins_zero", "sigma_squared_underflows", "sigma_squared_overflows",
+         "sigma_squared_overflows_with_c", "hidden_zero", "negative_learning_rate",
          "batch_size_zero", "bin_lo_above_bin_hi", "alpha_above_one", "epsilon_start_above_one",
          "negative_epsilon_end", "negative_decay_steps"],
 )
