@@ -143,18 +143,18 @@ def init_qnetwork(
     init_scale: float = 0.1,
 ) -> QNetwork:
     """Weights uniform in [-init_scale, init_scale], biases zero."""
-    n_out = sum(group_sizes)
+    n_labels = sum(group_sizes)  # one Q-value output per label of every group
     return QNetwork(
         w1=rng.uniform(-init_scale, init_scale, size=(hidden, n_in)),
         b1=np.zeros(hidden),
-        w2=rng.uniform(-init_scale, init_scale, size=(n_out, hidden)),
-        b2=np.zeros(n_out),
+        w2=rng.uniform(-init_scale, init_scale, size=(n_labels, hidden)),
+        b2=np.zeros(n_labels),
         group_sizes=tuple(group_sizes),
     )
 
 
 def _forward_flat(net: QNetwork, x: np.ndarray) -> np.ndarray:
-    """Feed-forward on a batch (rows are inputs); returns (batch, n_out)."""
+    """Feed-forward on a batch (rows are inputs); returns (batch, labels of all groups)."""
     if x.shape[-1] != net.n_in:
         raise ValueError(f"input has {x.shape[-1]} features, network expects {net.n_in}")
     hidden = np.tanh(x @ net.w1.T + net.b1)
