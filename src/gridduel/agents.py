@@ -207,10 +207,11 @@ def td_targets(net: QNetwork, batch: list[Transition], gamma: float) -> np.ndarr
     x_next = np.stack([t.x_next for t in batch])
     q_next = _forward_flat(net, x_next)
     offs = net.group_offsets()
+    rewards = np.array([t.reward for t in batch])
     targets = np.empty((len(batch), len(net.group_sizes)))
     for g in range(len(net.group_sizes)):
         best = q_next[:, offs[g] : offs[g + 1]].max(axis=1)
-        targets[:, g] = [t.reward for t in batch] + gamma * best
+        targets[:, g] = rewards + gamma * best
     return targets
 
 
@@ -226,19 +227,18 @@ def td_loss_and_grads(
     """
     x = np.stack([t.x for t in batch])
     n_batch, n_groups = len(batch), len(net.group_sizes)
-    offs = net.group_offsets()
+    rows = np.arange(n_batch)[:, None]
+    cols = np.array(net.group_offsets()[:-1]) + np.array([t.actions for t in batch])
 
     hidden = np.tanh(x @ net.w1.T + net.b1)
     q = hidden @ net.w2.T + net.b2
 
+    diff = q[rows, cols] - targets
     dloss_dq = np.zeros_like(q)
+    dloss_dq[rows, cols] += 2.0 * diff  # each (b, col) once: 0.0 + 2 diff, as a loop would
     loss = 0.0
-    for b, t in enumerate(batch):
-        for g, a in enumerate(t.actions):
-            col = offs[g] + a
-            diff = q[b, col] - targets[b, g]
-            loss += diff * diff
-            dloss_dq[b, col] += 2.0 * diff
+    for sq in (diff * diff).ravel().tolist():  # left to right; Python 3.12's sum() compensates
+        loss += sq
     scale = 1.0 / (n_batch * n_groups)
     loss *= scale
     dloss_dq *= scale

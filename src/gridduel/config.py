@@ -118,13 +118,15 @@ def _bool(value, ctx: str) -> bool:
 
 
 def _numbers(value, ctx: str) -> np.ndarray:
-    """A flat array of numbers as a float array; one numpy pass checks every element."""
-    try:
-        arr = np.asarray(_as_list(value, ctx))
-        if arr.ndim == 1 and arr.dtype.kind in "if":
-            return arr.astype(float, copy=False)
-    except ValueError:  # ragged nesting
-        pass
+    """A flat array of numbers as a float array; one type scan and one numpy pass check it."""
+    items = _as_list(value, ctx)
+    if bool not in map(type, items):  # numpy would read a JSON true among numbers as 1.0
+        try:
+            arr = np.asarray(items)
+            if arr.ndim == 1 and arr.dtype.kind in "if":
+                return arr.astype(float, copy=False)
+        except ValueError:  # ragged nesting
+            pass
     raise ConfigError(f"{ctx}: expected an array of numbers")
 
 
@@ -332,6 +334,9 @@ def _parse_agent(raw, idx: int) -> AgentSpec:
     if "c" not in rd:  # by default the reward crosses zero at 5 % deviation for this sigma
         sigma = _float(rd.get("sigma", agents_mod.DEFAULT_SIGMA), f"{c}.sigma")
         rd["c"] = boundary_offset(sigma) if usable_sigma(sigma) else agents_mod.DEFAULT_C
+        if not 0.0 < rd["c"] < 1.0:
+            raise ConfigError(f"{c}.sigma: gives a default c of {rd['c']!r}, outside (0, 1); "
+                              "give 'c' explicitly")
     reward_params = _decode(RewardParams, rd, c, agent_class=agent_class)
 
     c = f"{ctx}.learner"

@@ -34,77 +34,80 @@ class PowerFlowSolution:
     mismatch_history: tuple[float, ...] = ()
 
 
-def _bus_partitions(grid: GridModel) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of non-slack buses and of pq buses, both in ascending bus order."""
-    kinds = [b.kind for b in grid.buses]
-    non_slack = np.array([i for i, k in enumerate(kinds) if k != SLACK], dtype=int)
-    pq = np.array([i for i, k in enumerate(kinds) if k == PQ], dtype=int)
-    return non_slack, pq
+def _unknowns(grid: GridModel) -> np.ndarray:
+    """Positions of the solver's unknowns in a stacked ``[theta; v]`` vector.
+
+    Theta at the non-slack buses, then v at the pq buses, each in ascending
+    bus order.  The same positions pick [dP; dQ] out of a stacked ``[P; Q]``.
+    """
+    n = grid.n_bus
+    theta_at = [i for i, b in enumerate(grid.buses) if b.kind != SLACK]
+    v_at = [n + i for i, b in enumerate(grid.buses) if b.kind == PQ]
+    return np.array(theta_at + v_at, dtype=int)
 
 
-def _flat_start(grid: GridModel) -> tuple[np.ndarray, np.ndarray]:
-    v = np.ones(grid.n_bus)
-    for b in grid.buses:
-        if b.kind in (SLACK, "pv"):
-            v[b.id] = float(b.v_setpoint_pu)
-    return v, np.zeros(grid.n_bus)
+def _flat_start(grid: GridModel) -> np.ndarray:
+    """Stacked ``[theta; v]``: zero angles, 1 pu at pq buses and the setpoint elsewhere."""
+    x = np.zeros(2 * grid.n_bus)
+    x[grid.n_bus :] = [1.0 if b.kind == PQ else b.v_setpoint_pu for b in grid.buses]
+    return x
 
 
-def _mismatch(
-    ybus: np.ndarray,
-    p_sched: np.ndarray,
-    q_sched: np.ndarray,
-    v_pu: np.ndarray,
-    theta_rad: np.ndarray,
-    non_slack: np.ndarray,
-    pq: np.ndarray,
-) -> np.ndarray:
-    vc = v_pu * np.exp(1j * theta_rad)
-    s_calc = vc * np.conj(ybus @ vc)
-    dp = p_sched - s_calc.real
-    dq = q_sched - s_calc.imag
-    return np.concatenate([dp[non_slack], dq[pq]])
+def _evaluate(ybus: np.ndarray, v_pu: np.ndarray, theta_rad: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Unit phasors, voltage phasors V, bus currents Y V and injections V conj(Y V).
+
+    The mismatch, the Jacobian and the returned injections share one evaluation per iterate.
+    """
+    unit = np.exp(1j * theta_rad)
+    vc = v_pu * unit
+    ibus = ybus @ vc
+    return unit, vc, ibus, vc * np.conj(ibus)
+
+
+def _mismatch(sched: np.ndarray, s_calc: np.ndarray, unknowns: np.ndarray) -> np.ndarray:
+    """Scheduled minus calculated [P; Q], at the solver's unknowns."""
+    return (sched - np.concatenate([s_calc.real, s_calc.imag]))[unknowns]
 
 
 def _jacobian(
     ybus: np.ndarray,
-    v_pu: np.ndarray,
-    theta_rad: np.ndarray,
-    non_slack: np.ndarray,
-    pq: np.ndarray,
+    unit: np.ndarray,
+    vc: np.ndarray,
+    ibus: np.ndarray,
+    unknowns: np.ndarray,
 ) -> np.ndarray:
     """d(mismatch)/d[theta at non-slack; V at pq] as one dense square matrix."""
-    vc = v_pu * np.exp(1j * theta_rad)
-    ibus = ybus @ vc
+    n = len(vc)
     diag_v = np.diag(vc)
     diag_i = np.diag(ibus)
-    diag_vnorm = np.diag(np.exp(1j * theta_rad))
-    # Complex power sensitivities, S = diag(V) conj(Y V).
+    diag_vnorm = np.diag(unit)
+    # Complex power sensitivities, S = diag(V) conj(Y V).  Keep the dense diag()
+    # products: broadcasting instead changes the last bits of every iterate.
     ds_dtheta = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
     ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-    j11 = ds_dtheta.real[np.ix_(non_slack, non_slack)]
-    j12 = ds_dvm.real[np.ix_(non_slack, pq)]
-    j21 = ds_dtheta.imag[np.ix_(pq, non_slack)]
-    j22 = ds_dvm.imag[np.ix_(pq, pq)]
+    full = np.empty((2 * n, 2 * n))
+    full[:n, :n] = ds_dtheta.real
+    full[:n, n:] = ds_dvm.real
+    full[n:, :n] = ds_dtheta.imag
+    full[n:, n:] = ds_dvm.imag
+    jac = full[unknowns[:, None], unknowns]
     # Mismatch is scheduled minus calculated, hence the sign flip.
-    return -np.block([[j11, j12], [j21, j22]])
+    return np.negative(jac, out=jac)
 
 
 def compute_mismatch(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> np.ndarray:
     """Residual vector [dP at non-slack buses; dQ at pq buses] in per-unit."""
     ybus = build_admittance_matrix(grid)
-    p_sched, q_sched = scheduled_injections_pu(grid)
-    non_slack, pq = _bus_partitions(grid)
-    return _mismatch(ybus, p_sched, q_sched, np.asarray(v_pu, float),
-                     np.asarray(theta_rad, float), non_slack, pq)
+    sched = np.concatenate(scheduled_injections_pu(grid))
+    s_calc = _evaluate(ybus, np.asarray(v_pu, float), np.asarray(theta_rad, float))[3]
+    return _mismatch(sched, s_calc, _unknowns(grid))
 
 
 def compute_jacobian(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> np.ndarray:
     """Analytic derivative of :func:`compute_mismatch` w.r.t. the solver state."""
     ybus = build_admittance_matrix(grid)
-    non_slack, pq = _bus_partitions(grid)
-    return _jacobian(ybus, np.asarray(v_pu, float), np.asarray(theta_rad, float),
-                     non_slack, pq)
+    unit, vc, ibus, _ = _evaluate(ybus, np.asarray(v_pu, float), np.asarray(theta_rad, float))
+    return _jacobian(ybus, unit, vc, ibus, _unknowns(grid))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -128,20 +131,23 @@ def solve_newton_raphson(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     ybus = build_admittance_matrix(grid)
-    p_sched, q_sched = scheduled_injections_pu(grid)
-    non_slack, pq = _bus_partitions(grid)
-    n_th = len(non_slack)
+    sched = np.concatenate(scheduled_injections_pu(grid))
+    unknowns = _unknowns(grid)
+    n = grid.n_bus
 
-    v, theta = _flat_start(grid)
+    x = _flat_start(grid)
     converged = False
     failure: str | None = None
     max_mis = 0.0
     evaluations = 0
     history: list[float] = []
     while True:
-        mis = _mismatch(ybus, p_sched, q_sched, v, theta, non_slack, pq)
+        # Every exit below leaves x as the point evaluated here, so s_calc is
+        # the returned solution's injections.
+        unit, vc, ibus, s_calc = _evaluate(ybus, x[n:], x[:n])
+        mis = _mismatch(sched, s_calc, unknowns)
         evaluations += 1
-        max_mis = float(np.max(np.abs(mis))) if mis.size else 0.0
+        max_mis = float(np.abs(mis).max()) if mis.size else 0.0
         history.append(max_mis)
         if not np.isfinite(max_mis):
             failure = "diverged"
@@ -152,30 +158,24 @@ def solve_newton_raphson(
         if evaluations > max_iter:
             failure = "max_iter"
             break
-        jac = _jacobian(ybus, v, theta, non_slack, pq)
+        jac = _jacobian(ybus, unit, vc, ibus, unknowns)
         try:
             dx = np.linalg.solve(jac, -mis)
         except np.linalg.LinAlgError:
             failure = "singular_jacobian"
             break
-        v_new = v.copy()
-        theta_new = theta.copy()
-        theta_new[non_slack] += dx[:n_th]
-        v_new[pq] += dx[n_th:]
-        if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(theta_new))) or np.any(
-            v_new <= 0.0
-        ):
+        x_new = x.copy()
+        x_new[unknowns] += dx
+        if not np.isfinite(x_new).all() or (x_new[n:] <= 0.0).any():
             failure = "diverged"
             break
-        v, theta = v_new, theta_new
+        x = x_new
 
-    vc = v * np.exp(1j * theta)
-    s_inj = vc * np.conj(ybus @ vc)
     return PowerFlowSolution(
-        v_pu=_freeze(v),
-        theta_rad=_freeze(theta),
-        p_inj_pu=_freeze(s_inj.real.copy()),
-        q_inj_pu=_freeze(s_inj.imag.copy()),
+        v_pu=_freeze(x[n:].copy()),  # copies, not views of x: a run log keeps every solution
+        theta_rad=_freeze(x[:n].copy()),
+        p_inj_pu=_freeze(s_calc.real.copy()),
+        q_inj_pu=_freeze(s_calc.imag.copy()),
         converged=converged,
         iterations=evaluations,
         max_mismatch_pu=max_mis,

@@ -13,7 +13,7 @@ import gridduel
 from gridduel.agents import ActuatorRef, QNetHyper, RewardParams, TabularHyper
 from gridduel.config import AgentSpec, ExperimentConfig, OutputPaths
 from gridduel.core import PerformanceConfig
-from gridduel.grid import Bus, GridModel, Line, Load, arl_poc_grid
+from gridduel.grid import Bus, Generator, GridModel, Line, Load, Transformer, arl_poc_grid
 from gridduel.powerflow import solve_newton_raphson
 
 # Closed-form solution of the two-bus case: slack 1.0/0 rad, series x=0.1 pu,
@@ -36,6 +36,32 @@ def zero_load_grid(n_bus: int = 3) -> GridModel:
     buses += [Bus(i, "pq", 110.0) for i in range(1, n_bus)]
     lines = tuple(Line(i, i + 1, r_pu=0.01, x_pu=0.05) for i in range(n_bus - 1))
     return GridModel(s_base_mva=10.0, buses=tuple(buses), lines=lines).validate()
+
+
+def pv_grid() -> GridModel:
+    """Four buses, one of each solver role: slack, a pv bus, then two pq buses.
+
+    The pv bus holds 1.01 pu and carries a load, so its angle is an unknown
+    while its voltage is not; the partitions of non-slack and pq buses differ.
+    Line 0-1 has shunt susceptance and the transformer sits off its nominal tap.
+    """
+    return GridModel(
+        s_base_mva=10.0,
+        buses=(
+            Bus(0, "slack", 110.0, v_setpoint_pu=1.02),
+            Bus(1, "pv", 20.0, v_setpoint_pu=1.01),
+            Bus(2, "pq", 20.0),
+            Bus(3, "pq", 0.4),
+        ),
+        lines=(Line(0, 1, r_pu=0.002, x_pu=0.05, b_shunt_pu=0.02),
+               Line(1, 2, r_pu=0.01, x_pu=0.02)),
+        transformers=(Transformer(2, 3, r_pu=0.10, x_pu=0.95, tap_pos=3, tap_min=-9, tap_max=9,
+                                  tap_step_pu=0.0125),),
+        generators=(Generator(2, p_mw=0.5, q_mvar=0.1, p_min_mw=0.0, p_max_mw=1.0,
+                              q_min_mvar=-0.3, q_max_mvar=0.3),),
+        loads=(Load(1, p_mw=1.0, q_mvar=0.2, scaling_min=0.5, scaling_max=1.5),
+               Load(3, p_mw=0.4, q_mvar=0.1, scaling_min=0.5, scaling_max=1.5)),
+    ).validate()
 
 
 def cli_env(**extra: str) -> dict[str, str]:

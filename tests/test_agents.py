@@ -242,6 +242,49 @@ def test_td_gradients_match_finite_differences(seed):
     assert float(np.max(rel)) < 1e-4
 
 
+def reference_td_loss_and_grads(net, batch, targets):
+    """The per-cell loop td_loss_and_grads replaced with fancy indexing."""
+    x = np.stack([t.x for t in batch])
+    offs = net.group_offsets()
+    hidden = np.tanh(x @ net.w1.T + net.b1)
+    q = hidden @ net.w2.T + net.b2
+    dloss_dq = np.zeros_like(q)
+    loss = 0.0
+    for b, t in enumerate(batch):
+        for g, a in enumerate(t.actions):
+            col = offs[g] + a
+            diff = q[b, col] - targets[b, g]
+            loss += diff * diff
+            dloss_dq[b, col] += 2.0 * diff
+    scale = 1.0 / (len(batch) * len(net.group_sizes))
+    loss *= scale
+    dloss_dq *= scale
+    d_hidden = (dloss_dq @ net.w2) * (1.0 - hidden**2)
+    return float(loss), [d_hidden.T @ x, d_hidden.sum(axis=0), dloss_dq.T @ hidden,
+                         dloss_dq.sum(axis=0)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_td_loss_and_grads_bits_match_per_cell_loop(seed):
+    rng = np.random.default_rng(seed)
+    group_sizes = (3, 5, 3, 3, 5)
+    net = init_qnetwork(7, group_sizes, hidden=16, rng=rng)
+    batch = [
+        Transition(
+            rng.uniform(0.9, 1.1, size=7),
+            tuple(int(rng.integers(size)) for size in group_sizes),
+            float(rng.normal()),
+            rng.uniform(0.9, 1.1, size=7),
+        )
+        for _ in range(32)
+    ]
+    targets = td_targets(net, batch, gamma=0.95)
+    loss, grads = td_loss_and_grads(net, batch, targets)
+    want_loss, want_grads = reference_td_loss_and_grads(net, batch, targets)
+    assert loss == want_loss
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+
+
 def test_td_update_converges_to_reward_on_constant_transition(rng):
     net = init_qnetwork(2, (1,), hidden=8, rng=rng)
     x = np.array([0.5, -0.2])

@@ -256,6 +256,8 @@ ASYMMETRY = ["asymmetry", "--t0", "0", "--metrics"]
          r"run_log\.steps\[1\]: missing required key 'v_pu'"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].__setitem__(0, "1.0")),
          r"run_log\.steps\[1\]\.v_pu: expected an array of numbers"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].__setitem__(0, True)),
+         r"run_log\.steps\[1\]\.v_pu: expected an array of numbers"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(t="2")),
          r"run_log\.steps\[1\]\.t: expected an integer"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(y=[0])),
@@ -276,8 +278,9 @@ ASYMMETRY = ["asymmetry", "--t0", "0", "--metrics"]
         ("metrics", ASYMMETRY, lambda doc: [doc], r"metrics: expected an object"),
     ],
     ids=["run_log_without_agents", "run_log_without_initial", "step_without_v_pu", "string_voltage",
-         "string_step_time", "numeric_label", "nan_reward", "unknown_step_key", "bad_performance",
-         "plot_without_series", "plot_null_sample", "plot_steps_not_array", "plot_unknown_agent",
+         "boolean_voltage", "string_step_time", "numeric_label", "nan_reward", "unknown_step_key",
+         "bad_performance", "plot_without_series", "plot_null_sample", "plot_steps_not_array",
+         "plot_unknown_agent",
          "asymmetry_without_p_world", "asymmetry_without_p_fail", "asymmetry_on_array"],
 )
 def test_malformed_run_log_or_metrics_exits_one(tmp_path, monkeypatch, capsys, source, command, edit, message):

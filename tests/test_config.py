@@ -281,6 +281,10 @@ def _reward(**values):
         (TWO_BUS, _reward(sigma=1e-200), r"reward: sigma must be > 0"),  # sigma**2 underflows to 0
         (TWO_BUS, _reward(sigma=1e200), r"reward: sigma must be > 0"),  # sigma**2 overflows
         (TWO_BUS, _reward(sigma=1e200, c=0.5), r"reward: sigma must be > 0"),
+        (TWO_BUS, _reward(sigma=1e-5),  # the default c underflows to 0
+         r"reward\.sigma: gives a default c of 0\.0, outside \(0, 1\); give 'c' explicitly"),
+        (TWO_BUS, _reward(sigma=1e100),  # the default c rounds to 1
+         r"reward\.sigma: gives a default c of 1\.0, outside \(0, 1\); give 'c' explicitly"),
         (POC, _learner_edit(hidden=0), r"learner: hidden must be >= 1"),
         (POC, _learner_edit(learning_rate=-0.001), r"learner: learning_rate must be >= 0"),
         (POC, _learner_edit(batch_size=0), r"learner: batch_size must be >= 1"),
@@ -291,9 +295,9 @@ def _reward(**values):
         (TWO_BUS, _learner_edit(epsilon_decay_steps=-1), r"learner: epsilon_decay_steps must be >= 0"),
     ],
     ids=["n_bins_zero", "sigma_squared_underflows", "sigma_squared_overflows",
-         "sigma_squared_overflows_with_c", "hidden_zero", "negative_learning_rate",
-         "batch_size_zero", "bin_lo_above_bin_hi", "alpha_above_one", "epsilon_start_above_one",
-         "negative_epsilon_end", "negative_decay_steps"],
+         "sigma_squared_overflows_with_c", "default_c_underflows", "default_c_rounds_to_one",
+         "hidden_zero", "negative_learning_rate", "batch_size_zero", "bin_lo_above_bin_hi",
+         "alpha_above_one", "epsilon_start_above_one", "negative_epsilon_end", "negative_decay_steps"],
 )
 def test_out_of_range_hyperparameters_exit_1(path, edit, message, tmp_path, monkeypatch, capsys):
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -304,6 +308,13 @@ def test_out_of_range_hyperparameters_exit_1(path, edit, message, tmp_path, monk
     assert main(["run", "--config", str(config)]) == 1
     assert re.search(r"agents\[0\]\." + message, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 1e100])
+def test_sigma_without_usable_default_c_loads_with_explicit_c(sigma):
+    doc = json.loads(TWO_BUS.read_text(encoding="utf-8"))
+    doc["agents"][0]["reward"] = {"sigma": sigma, "c": 0.5}
+    assert load_doc(doc).agents[0].reward.sigma == sigma
 
 
 def test_negative_rounds_rejected():

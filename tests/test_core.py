@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridduel.agents import ActuatorRef
+from gridduel.agents import LABELS_BY_KIND, ActuatorRef
 from gridduel.core import (
     ABSORB,
     ADAPT,
@@ -24,6 +26,7 @@ from gridduel.core import (
     run_experiment,
     system_performance,
 )
+from gridduel.grid import arl_poc_grid
 from gridduel.powerflow import PowerFlowSolution, solve_newton_raphson
 
 from .conftest import experiment_config, two_bus_grid, zero_load_grid
@@ -117,6 +120,57 @@ def test_action_application_commutes_on_disjoint_devices(poc_grid):
     assert one.solution.v_pu.tobytes() == other.solution.v_pu.tobytes()
     assert joint.grid == one.grid
     assert joint.solution.v_pu.tobytes() == one.solution.v_pu.tobytes()
+
+
+POC_DEVICES = ([("transformer", i) for i in range(6)] + [("generator", i) for i in range(4)]
+               + [("load", i) for i in range(6)])
+
+
+@st.composite
+def poc_worlds(draw):
+    """The poc grid with its taps and load scalings drawn at their limits and between them."""
+    g = arl_poc_grid()
+    for i in range(6):
+        g = g.with_tap(i, draw(st.sampled_from([-9, -1, 0, 4, 9])))
+        g = g.with_load_scaling(i, draw(st.sampled_from([0.5, 1.0, 1.5])))
+    return initial_world(g)
+
+
+def actions_on(draw, devices):
+    return [Action(ActuatorRef(kind, i), draw(st.sampled_from(LABELS_BY_KIND[kind])))
+            for kind, i in devices]
+
+
+def assert_same_world(a, b):
+    assert a.grid == b.grid
+    for field in ("v_pu", "theta_rad", "p_inj_pu", "q_inj_pu"):
+        assert getattr(a.solution, field).tobytes() == getattr(b.solution, field).tobytes()
+    assert a.solution.mismatch_history == b.solution.mismatch_history
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(world=poc_worlds(), data=st.data())
+def test_disjoint_actions_commute_in_any_order(world, data):
+    devices = data.draw(st.lists(st.sampled_from(POC_DEVICES), min_size=1, max_size=8, unique=True))
+    actions = actions_on(data.draw, devices)
+    joint = apply_actions(world, actions)
+    order = data.draw(st.permutations(actions))
+    assert_same_world(apply_actions(world, order), joint)
+    one_by_one = world
+    for a in order:
+        one_by_one = apply_actions(one_by_one, [a])
+    assert_same_world(one_by_one, joint)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(world=poc_worlds(), data=st.data())
+def test_two_actions_on_one_device_conflict_in_any_position(world, data):
+    devices = data.draw(st.lists(st.sampled_from(POC_DEVICES), min_size=1, max_size=8, unique=True))
+    actions = actions_on(data.draw, devices)
+    twice = actions_on(data.draw, [data.draw(st.sampled_from(devices))])[0]
+    at = data.draw(st.integers(0, len(actions)))
+    with pytest.raises(ActuatorConflictError):
+        apply_actions(world, actions[:at] + [twice] + actions[at:])
 
 
 def test_overlapping_actions_rejected(poc_grid):

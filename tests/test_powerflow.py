@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -11,7 +12,7 @@ from gridduel.powerflow import (
     total_branch_loss_pu,
 )
 
-from .conftest import TWO_BUS_THETA2, TWO_BUS_V2, two_bus_grid, zero_load_grid
+from .conftest import TWO_BUS_THETA2, TWO_BUS_V2, pv_grid, two_bus_grid, zero_load_grid
 
 
 def mismatch_oracle(grid, v, theta):
@@ -47,6 +48,36 @@ def fd_jacobian(grid, v, theta, h=1e-6):
             vm[pq[k - len(non_slack)]] -= h
         cols.append((compute_mismatch(grid, vp, tp) - compute_mismatch(grid, vm, tm)) / (2 * h))
     return np.stack(cols, axis=1)
+
+
+def reference_mismatch(grid, v, theta):
+    """The residual as the solver assembled it before one evaluation served all uses."""
+    ybus = build_admittance_matrix(grid)
+    p_sched, q_sched = scheduled_injections_pu(grid)
+    non_slack = np.array([b.id for b in grid.buses if b.kind != "slack"], dtype=int)
+    pq = np.array([b.id for b in grid.buses if b.kind == "pq"], dtype=int)
+    vc = v * np.exp(1j * theta)
+    s_calc = vc * np.conj(ybus @ vc)
+    return np.concatenate([(p_sched - s_calc.real)[non_slack], (q_sched - s_calc.imag)[pq]])
+
+
+def reference_jacobian(grid, v, theta):
+    """The Jacobian with the np.ix_/np.block assembly the solver used before slicing."""
+    ybus = build_admittance_matrix(grid)
+    non_slack = np.array([b.id for b in grid.buses if b.kind != "slack"], dtype=int)
+    pq = np.array([b.id for b in grid.buses if b.kind == "pq"], dtype=int)
+    vc = v * np.exp(1j * theta)
+    ibus = ybus @ vc
+    diag_v = np.diag(vc)
+    diag_i = np.diag(ibus)
+    diag_vnorm = np.diag(np.exp(1j * theta))
+    ds_dtheta = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+    j11 = ds_dtheta.real[np.ix_(non_slack, non_slack)]
+    j12 = ds_dvm.real[np.ix_(non_slack, pq)]
+    j21 = ds_dtheta.imag[np.ix_(pq, non_slack)]
+    j22 = ds_dvm.imag[np.ix_(pq, pq)]
+    return -np.block([[j11, j12], [j21, j22]])
 
 
 def max_rel_err(a, b):
@@ -131,6 +162,24 @@ def test_jacobian_at_20_random_operating_points(rng):
         assert max_rel_err(jac, fd_jacobian(g, v, theta)) < 1e-5
 
 
+def test_pv_grid_jacobian_at_20_random_operating_points(rng):
+    grid = pv_grid()
+    for _ in range(20):
+        g, v, theta = random_operating_point(grid, rng)
+        jac = compute_jacobian(g, v, theta)
+        assert jac.shape == (3 + 2, 3 + 2)  # theta at buses 1-3, v at pq buses 2-3
+        assert max_rel_err(jac, fd_jacobian(g, v, theta)) < 1e-5
+
+
+@pytest.mark.parametrize("make_grid", [arl_poc_grid, pv_grid], ids=["poc", "pv"])
+def test_mismatch_and_jacobian_bits_match_reference_assembly(make_grid, rng):
+    grid = make_grid()
+    for _ in range(20):
+        g, v, theta = random_operating_point(grid, rng)
+        assert compute_mismatch(g, v, theta).tobytes() == reference_mismatch(g, v, theta).tobytes()
+        assert compute_jacobian(g, v, theta).tobytes() == reference_jacobian(g, v, theta).tobytes()
+
+
 def test_two_bus_jacobian_hand_value():
     grid = two_bus_grid()
     jac = compute_jacobian(grid, np.ones(2), np.zeros(2))
@@ -175,6 +224,19 @@ def test_residual_strictly_decreases_on_base_case(poc_solution):
     history = poc_solution.mismatch_history
     assert len(history) >= 2
     assert all(later < earlier for earlier, later in zip(history, history[1:]))
+
+
+def test_pv_grid_solve_holds_the_pv_setpoint():
+    grid = pv_grid()
+    sol = solve_newton_raphson(grid)
+    assert sol.converged
+    assert sol.v_pu[0] == 1.02 and sol.theta_rad[0] == 0.0
+    assert sol.v_pu[1] == 1.01  # pv magnitude is held, only its angle moves
+    assert sol.theta_rad[1] != 0.0
+    assert np.max(np.abs(mismatch_oracle(grid, sol.v_pu, sol.theta_rad))) <= 1e-8
+    # The pv bus supplies whatever reactive power holds its voltage, not its schedule.
+    q_sched = scheduled_injections_pu(grid)[1]
+    assert abs(sol.q_inj_pu[1] - q_sched[1]) > 0.1
 
 
 def test_power_balance_equals_branch_losses(poc_solution):
@@ -224,3 +286,64 @@ def test_two_bus_solve_runtime_under_one_second():
     start = time.perf_counter()
     solve_newton_raphson(grid)
     assert time.perf_counter() - start < 1.0
+
+
+# -- pinned solver bits ---------------------------------------------------------
+
+
+def _moved_poc():
+    g = arl_poc_grid().with_tap(0, 9).with_tap(2, -4).with_tap(5, -9)
+    g = g.with_load_scaling(0, 1.5).with_load_scaling(3, 0.5)
+    return g.with_generator_setpoint(0, 1.0, 0.3).with_generator_setpoint(3, 0.0, -0.3)
+
+
+def _stressed_poc():
+    g = arl_poc_grid()
+    for i in range(6):
+        g = g.with_tap(i, 9).with_load_scaling(i, 1.5)
+    for i in range(4):
+        g = g.with_generator_setpoint(i, 0.0, -0.3)
+    return g
+
+
+def _moved_pv():
+    return pv_grid().with_tap(0, -9).with_load_scaling(0, 1.5).with_generator_setpoint(0, 1.0, -0.3)
+
+
+# (grid, max_iter) per case; the infeasible two-bus case diverges, poc capped at
+# two Newton steps stops on max_iter.
+SOLVE_CASES = {
+    "poc_moved": (_moved_poc, 20),
+    "poc_stressed": (_stressed_poc, 20),
+    "poc_max_iter": (arl_poc_grid, 2),
+    "pv": (pv_grid, 20),
+    "pv_moved": (_moved_pv, 20),
+    "two_bus_infeasible": (lambda: two_bus_grid(p_load_mw=100.0), 20),
+}
+
+# solution_digest of each case, computed when the solver still assembled the
+# Jacobian with np.ix_/np.block and evaluated the mismatch, the Jacobian and the
+# returned injections separately; like tests/golden, they pin the bits that
+# this numpy/LAPACK build gives.
+SOLVE_PINS = {
+    "poc_max_iter": "81e0ed06f1180efc56f323505d2bf072c75cb31135a190538052384ad5aa0142",  # 3 evaluations, max_iter
+    "poc_moved": "4f501d068d6a474220cabe5dcb14ba252de23b7eb94c994a4403f2f64523c65a",  # 5 evaluations, None
+    "poc_stressed": "56d32a01261ab47a494806a21beb627ad0b97c9a2850d631a36318858a048cbe",  # 5 evaluations, None
+    "pv": "3fe63c311e69c332f308db1ba7797036399cb28b5d77e98987c2d106e7344a0a",  # 4 evaluations, None
+    "pv_moved": "fee02049e82309b7a58500cf5e90be8b2706c7672541605f56b47d46fefb69b4",  # 5 evaluations, None
+    "two_bus_infeasible": "b8bd6fc1ed8205a35a934898e6d916997b1a21964a31c7c3b281b2416fc416c0",  # 2 evaluations, diverged
+}
+
+
+def solution_digest(sol) -> str:
+    h = hashlib.sha256()
+    for a in (sol.v_pu, sol.theta_rad, sol.p_inj_pu, sol.q_inj_pu):
+        h.update(a.tobytes())
+    h.update(repr((sol.iterations, sol.failure_cause, sol.mismatch_history)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_CASES))
+def test_solver_bits_pinned_on_perturbed_grids(case):
+    make_grid, max_iter = SOLVE_CASES[case]
+    assert solution_digest(solve_newton_raphson(make_grid(), max_iter=max_iter)) == SOLVE_PINS[case]
