@@ -17,8 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .agents import TrainingDiverged
-from .config import (ConfigError, _as_dict, _as_list, _float, _int, _json_object, _numbers, _pop,
-                     load_config_path)
+from .codec import ConfigError, as_dict, as_list, json_object, numbers, pop, read_float, read_int
+from .config import load_config_path
 from .core import check_asymmetry_series, run_experiment
 from .grid import ModelValidationError
 from .powerflow import solve_newton_raphson
@@ -140,24 +140,24 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _load_metrics(path: str) -> dict:
-    return _json_object(Path(path).read_text(encoding="utf-8"), "metrics")
+    return json_object(Path(path).read_text(encoding="utf-8"), "metrics")
 
 
 def _first_step(doc: dict) -> int:
     """Time of the first metrics sample; 0 when the file has no steps."""
-    steps = _as_list(doc.get("steps", []), "steps")
-    return _int(steps[0], "steps[0]") if steps else 0
+    steps = as_list(doc.get("steps", []), "steps")
+    return read_int(steps[0], "steps[0]") if steps else 0
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     doc = _load_metrics(args.metrics)
     name = args.series
     if name in ("mean_voltage", "p_world"):
-        series = _numbers(_pop(doc, name, "metrics"), name)
+        series = numbers(pop(doc, name, "metrics"), name)
     elif name.startswith("cumulative_positive_rewards."):
         ctx = "cumulative_positive_rewards"
-        by_agent = _as_dict(_pop(doc, ctx, "metrics"), ctx)
-        series = _numbers(_pop(by_agent, name.split(".", 1)[1], ctx), name)
+        by_agent = as_dict(pop(doc, ctx, "metrics"), ctx)
+        series = numbers(pop(by_agent, name.split(".", 1)[1], ctx), name)
     else:
         print(f"error: unknown series {name!r}; use mean_voltage, p_world or "
               "cumulative_positive_rewards.<agent_id>", file=sys.stderr)
@@ -173,9 +173,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def _cmd_asymmetry(args: argparse.Namespace) -> int:
     doc = _load_metrics(args.metrics)
-    p_series = _numbers(_pop(doc, "p_world", "metrics"), "p_world")
-    performance = _as_dict(_pop(doc, "performance", "metrics"), "performance")
-    p_fail = _float(_pop(performance, "p_fail", "performance"), "performance.p_fail")
+    p_series = numbers(pop(doc, "p_world", "metrics"), "p_world")
+    performance = as_dict(pop(doc, "performance", "metrics"), "performance")
+    p_fail = read_float(pop(performance, "p_fail", "performance"), "performance.p_fail")
     ok, violation = check_asymmetry_series(p_series, p_fail, args.t0, first_t=_first_step(doc))
     if ok:
         print(f"holds: p stayed above p_fail={p_fail:.6g} for all t > {args.t0}")

@@ -9,20 +9,15 @@ offending field.  Saving is canonical (fixed key order, shortest float
 representation), so a config has exactly one on-disk form and a stable
 fingerprint.
 
-Below the top level and the agent block, both directions are driven by the
-fields of the typed dataclasses: a key is a field's name, an absent key
-takes the field's default, and declaration order is the canonical key order.
+Both directions go through the field-driven codec (gridduel.codec); only the
+agent block and the grid token have readers and writers of their own.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import hashlib
 import json
-import sys
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +26,6 @@ import numpy as np
 from . import agents as agents_mod
 from .agents import (
     ActuatorRef,
-    EpsilonSchedule,
     QNetAgent,
     QNetHyper,
     RewardParams,
@@ -41,6 +35,8 @@ from .agents import (
     default_group,
     usable_sigma,
 )
+from .codec import (READERS, WRITERS, ConfigError, as_dict, as_list, decode, done, encode, json_object,
+                    plain, pop, read_float, read_int, read_str)
 from .core import PerformanceConfig, V_QUANTITY
 from .grid import GridModel, ModelValidationError, arl_poc_grid
 
@@ -51,166 +47,6 @@ GRID_BUILDERS = {"arl_poc_grid": arl_poc_grid}
 
 # A learner `kind` picks its hyperparameter class and names the AgentSpec field holding it.
 _HYPER = {QNET: QNetHyper, TABULAR: TabularHyper}
-
-
-class ConfigError(ValueError):
-    """Raised when an input document (experiment, run log, metrics) fails parsing or validation."""
-
-
-# -- strict-dict helpers -------------------------------------------------------
-
-
-def _json_object(text: str, ctx: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
-    return _as_dict(doc, ctx)
-
-
-def _as_dict(value, ctx: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{ctx}: expected an object")
-    return dict(value)
-
-
-def _as_list(value, ctx: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{ctx}: expected an array")
-    return value
-
-
-def _pop(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"{ctx}: missing required key '{key}'")
-    return d.pop(key)
-
-
-def _done(d: dict, ctx: str) -> None:
-    if d:
-        raise ConfigError(f"{ctx}: unknown key(s) {sorted(d)}")
-
-
-def _int(value, ctx: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{ctx}: expected an integer")
-    return value
-
-
-def _float(value, ctx: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{ctx}: expected a number")
-    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity or an integer beyond float range
-        raise ConfigError(f"{ctx}: expected a finite number")
-    return float(value)
-
-
-def _str(value, ctx: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{ctx}: expected a string")
-    return value
-
-
-def _bool(value, ctx: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{ctx}: expected a boolean")
-    return value
-
-
-def _numbers(value, ctx: str) -> np.ndarray:
-    """A flat array of numbers as a float array; one type scan and one numpy pass check it."""
-    items = _as_list(value, ctx)
-    if bool not in map(type, items):  # numpy would read a JSON true among numbers as 1.0
-        try:
-            arr = np.asarray(items)
-            if arr.ndim == 1 and arr.dtype.kind in "if":
-                return arr.astype(float, copy=False)
-        except ValueError:  # ragged nesting
-            pass
-    raise ConfigError(f"{ctx}: expected an array of numbers")
-
-
-_SCALARS = {int: _int, float: _float, str: _str, bool: _bool, np.ndarray: _numbers}
-
-
-# -- field-driven codec --------------------------------------------------------
-
-
-@functools.cache
-def _fields(cls) -> tuple[tuple[str, object, object, typing.Callable], ...]:
-    """(name, resolved type, default or MISSING, reader) per field of cls, in declaration order."""
-    hints = typing.get_type_hints(cls)
-    out = []
-    for f in dataclasses.fields(cls):
-        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
-        out.append((f.name, hints[f.name], default, _reader(hints[f.name])))
-    return tuple(out)
-
-
-def _decode(cls, raw, ctx: str, **fixed):
-    """Build cls from the object raw; keys named in fixed come from the caller."""
-    d = _as_dict(raw, ctx)
-    obj = _take(cls, d, ctx, "", fixed)
-    _done(d, ctx)
-    return obj
-
-
-def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
-    kwargs = dict(fixed)
-    for name, tp, default, read in _fields(cls):
-        if name in fixed:
-            continue
-        key = prefix + name
-        if tp is EpsilonSchedule:  # flat epsilon_start/_end/_decay_steps keys of the learner block
-            kwargs[name] = _take(tp, d, ctx, f"{key}_", {})
-        elif key in d:
-            kwargs[name] = read(d.pop(key), f"{ctx}.{key}")
-        elif default is dataclasses.MISSING:
-            raise ConfigError(f"{ctx}: missing required key '{key}'")
-        else:
-            kwargs[name] = default
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{ctx}: {e}") from e
-
-
-@functools.cache
-def _reader(tp):
-    """The check-and-convert function (raw, ctx) for a field of type tp, built once per type."""
-    if tp in _SCALARS:
-        return _SCALARS[tp]
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        item = _reader(args[0])
-        return lambda raw, ctx: tuple(item(v, f"{ctx}[{i}]") for i, v in enumerate(_as_list(raw, ctx)))
-    if type(None) in args:  # X | None
-        inner = _reader(args[0])
-        return lambda raw, ctx: None if raw is None else inner(raw, ctx)
-    return functools.partial(_decode, tp)
-
-
-def _encode(obj, prefix: str = "") -> dict:
-    doc: dict = {}
-    for name, tp, default, _ in _fields(type(obj)):
-        value = getattr(obj, name)
-        if tp is EpsilonSchedule:
-            doc.update(_encode(value, f"{prefix}{name}_"))
-        # Optional fields holding their empty default (None, "" or False) are
-        # left out; numeric defaults such as 0.0 are written.
-        elif not (value == default and (default is None or default is False or default == "")):
-            doc[prefix + name] = _plain(value)
-    return doc
-
-
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
-    if dataclasses.is_dataclass(value):
-        return _encode(value)
-    return value
 
 
 # -- typed config ---------------------------------------------------------------
@@ -254,10 +90,10 @@ class AgentSpec:
 class ExperimentConfig:
     name: str
     seed: int
-    grid_source: str | GridModel
+    grid_source: str | GridModel = field(metadata={"key": "grid"})
     agents: tuple[AgentSpec, ...]
-    rounds: int
-    steps_per_turn: int
+    rounds: int = field(metadata={"key": "schedule.rounds"})
+    steps_per_turn: int = field(default=1, kw_only=True, metadata={"key": "schedule.steps_per_turn"})
     performance: PerformanceConfig
     outputs: OutputPaths
     allow_single_class: bool = False
@@ -268,6 +104,8 @@ class ExperimentConfig:
             raise ConfigError("name: must not be empty")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed: must be a 64-bit unsigned integer")
+        if not self.agents:
+            raise ConfigError("agents: at least one agent is required")
         if self.rounds < 0:
             raise ConfigError("schedule.rounds: must be >= 0")
         if self.steps_per_turn < 1:
@@ -291,61 +129,60 @@ def _parse_grid(value, ctx: str) -> str | GridModel:
             raise ConfigError(f"{ctx}: unknown grid token {value!r}")
         return value
     try:
-        return _decode(GridModel, value, ctx).validate()
+        return decode(GridModel, value, ctx).validate()
     except ModelValidationError as e:
         raise ConfigError(f"{ctx}: {e}") from e
 
 
-def _parse_agent(raw, idx: int) -> AgentSpec:
-    ctx = f"agents[{idx}]"
-    d = _as_dict(raw, ctx)
-    agent_id = _str(_pop(d, "id", ctx), f"{ctx}.id")
-    agent_class = _str(_pop(d, "class", ctx), f"{ctx}.class")
+def _parse_agent(raw, ctx: str) -> AgentSpec:
+    d = as_dict(raw, ctx)
+    agent_id = read_str(pop(d, "id", ctx), f"{ctx}.id")
+    agent_class = read_str(pop(d, "class", ctx), f"{ctx}.class")
     if agent_class not in (agents_mod.ATTACKER, agents_mod.DEFENDER):
         raise ConfigError(f"{ctx}.class: must be 'attacker' or 'defender'")
 
     sensors = []
-    raw_sensors = _as_list(_pop(d, "sensors", ctx), f"{ctx}.sensors")
+    raw_sensors = as_list(pop(d, "sensors", ctx), f"{ctx}.sensors")
     if not raw_sensors:
         raise ConfigError(f"{ctx}.sensors: must not be empty")
     for i, s in enumerate(raw_sensors):
         c = f"{ctx}.sensors[{i}]"
-        sd = _as_dict(s, c)
-        bus = _int(_pop(sd, "bus", c), f"{c}.bus")
-        quantity = _str(sd.pop("quantity", V_QUANTITY), f"{c}.quantity")
+        sd = as_dict(s, c)
+        bus = read_int(pop(sd, "bus", c), f"{c}.bus")
+        quantity = read_str(sd.pop("quantity", V_QUANTITY), f"{c}.quantity")
         if quantity != V_QUANTITY:
             raise ConfigError(f"{c}.quantity: unsupported quantity {quantity!r}")
-        _done(sd, c)
+        done(sd, c)
         sensors.append((bus, quantity))
 
     actuators = []
-    for i, a in enumerate(_as_list(_pop(d, "actuators", ctx), f"{ctx}.actuators")):
+    for i, a in enumerate(as_list(pop(d, "actuators", ctx), f"{ctx}.actuators")):
         c = f"{ctx}.actuators[{i}]"
-        ad = _as_dict(a, c)
+        ad = as_dict(a, c)
         labels = ad.pop("labels", None)
-        ref = _decode(ActuatorRef, ad, c)
+        ref = decode(ActuatorRef, ad, c)
         expected = list(agents_mod.LABELS_BY_KIND[ref.kind])
         if labels is not None and labels != expected:
             raise ConfigError(f"{c}.labels: invalid for kind {ref.kind!r}, expected {expected}")
         actuators.append(ref)
 
     c = f"{ctx}.reward"
-    rd = _as_dict(d.pop("reward", {}), c)
+    rd = as_dict(d.pop("reward", {}), c)
     if "c" not in rd:  # by default the reward crosses zero at 5 % deviation for this sigma
-        sigma = _float(rd.get("sigma", agents_mod.DEFAULT_SIGMA), f"{c}.sigma")
+        sigma = read_float(rd.get("sigma", agents_mod.DEFAULT_SIGMA), f"{c}.sigma")
         rd["c"] = boundary_offset(sigma) if usable_sigma(sigma) else agents_mod.DEFAULT_C
         if not 0.0 < rd["c"] < 1.0:
             raise ConfigError(f"{c}.sigma: gives a default c of {rd['c']!r}, outside (0, 1); "
                               "give 'c' explicitly")
-    reward_params = _decode(RewardParams, rd, c, agent_class=agent_class)
+    reward_params = decode(RewardParams, rd, c, agent_class=agent_class)
 
     c = f"{ctx}.learner"
-    ld = _as_dict(d.pop("learner", {}), c)
-    kind = _str(ld.pop("kind", QNET), f"{c}.kind")
+    ld = as_dict(d.pop("learner", {}), c)
+    kind = read_str(ld.pop("kind", QNET), f"{c}.kind")
     if kind not in _HYPER:
         raise ConfigError(f"{c}.kind: must be 'qnet' or 'tabular'")
-    hyper = _decode(_HYPER[kind], ld, c)
-    _done(d, ctx)
+    hyper = decode(_HYPER[kind], ld, c)
+    done(d, ctx)
     return AgentSpec(
         id=agent_id,
         agent_class=agent_class,
@@ -359,39 +196,7 @@ def _parse_agent(raw, idx: int) -> AgentSpec:
 
 def load_config(text: str) -> ExperimentConfig:
     """Parse and fully validate one experiment document."""
-    d = _json_object(text, "config")
-
-    name = _str(_pop(d, "name", "config"), "name")
-    seed = _int(_pop(d, "seed", "config"), "seed")
-    grid_source = _parse_grid(_pop(d, "grid", "config"), "grid")
-
-    raw_agents = _as_list(_pop(d, "agents", "config"), "agents")
-    if not raw_agents:
-        raise ConfigError("agents: at least one agent is required")
-    agent_specs = tuple(_parse_agent(a, i) for i, a in enumerate(raw_agents))
-
-    c = "schedule"
-    sd = _as_dict(_pop(d, "schedule", "config"), c)
-    rounds = _int(_pop(sd, "rounds", c), f"{c}.rounds")
-    steps_per_turn = _int(sd.pop("steps_per_turn", 1), f"{c}.steps_per_turn")
-    _done(sd, c)
-
-    performance = _decode(PerformanceConfig, _pop(d, "performance", "config"), "performance")
-    outputs = _decode(OutputPaths, _pop(d, "outputs", "config"), "outputs")
-    allow_single = _bool(d.pop("allow_single_class", False), "allow_single_class")
-    _done(d, "config")
-
-    cfg = ExperimentConfig(
-        name=name,
-        seed=seed,
-        grid_source=grid_source,
-        agents=agent_specs,
-        rounds=rounds,
-        steps_per_turn=steps_per_turn,
-        performance=performance,
-        outputs=outputs,
-        allow_single_class=allow_single,
-    )
+    cfg = decode(ExperimentConfig, json_object(text, "config"), "config")
     _validate_cross(cfg)
     return cfg
 
@@ -437,32 +242,25 @@ def _validate_cross(cfg: ExperimentConfig) -> None:
 
 
 def _agent_doc(spec: AgentSpec) -> dict:
-    reward_doc = _encode(spec.reward)
+    reward_doc = encode(spec.reward)
     del reward_doc["agent_class"]  # saved as the agent's "class"
     return {
         "id": spec.id,
         "class": spec.agent_class,
         "sensors": [{"bus": bus, "quantity": quantity} for bus, quantity in spec.sensors],
-        "actuators": _plain(spec.actuators),
+        "actuators": plain(spec.actuators),
         "reward": reward_doc,
-        "learner": {"kind": spec.learner_kind, **_encode(getattr(spec, spec.learner_kind))},
+        "learner": {"kind": spec.learner_kind, **encode(getattr(spec, spec.learner_kind))},
     }
+
+
+READERS.update({str | GridModel: _parse_grid, AgentSpec: _parse_agent})
+WRITERS[AgentSpec] = _agent_doc
 
 
 def save_config(cfg: ExperimentConfig) -> str:
     """Canonical UTF-8 JSON text for a config; loading it reproduces cfg exactly."""
-    doc: dict = {
-        "name": cfg.name,
-        "seed": cfg.seed,
-        "grid": _plain(cfg.grid_source),
-        "agents": [_agent_doc(spec) for spec in cfg.agents],
-        "schedule": {"rounds": cfg.rounds, "steps_per_turn": cfg.steps_per_turn},
-        "performance": _encode(cfg.performance),
-        "outputs": _encode(cfg.outputs),
-    }
-    if cfg.allow_single_class:
-        doc["allow_single_class"] = True
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(encode(cfg), indent=2, ensure_ascii=False) + "\n"
 
 
 def load_config_path(path: str | Path) -> ExperimentConfig:

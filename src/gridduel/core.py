@@ -13,7 +13,7 @@ series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -246,9 +246,9 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class AgentSummary:
-    agent_id: str
-    agent_class: str
-    learner_kind: str
+    agent_id: str = field(metadata={"key": "id"})
+    agent_class: str = field(metadata={"key": "class"})
+    learner_kind: str = field(metadata={"key": "learner"})
 
 
 @dataclass(frozen=True)
@@ -260,10 +260,10 @@ class RunLog:
     steps_per_turn: int
     performance: PerformanceConfig
     agents: tuple[AgentSummary, ...]
-    initial_v_pu: np.ndarray
-    initial_theta_rad: np.ndarray
-    initial_converged: bool
-    initial_p_world: float
+    initial_v_pu: np.ndarray = field(metadata={"key": "initial.v_pu"})
+    initial_theta_rad: np.ndarray = field(metadata={"key": "initial.theta_rad"})
+    initial_converged: bool = field(metadata={"key": "initial.converged"})
+    initial_p_world: float = field(metadata={"key": "initial.p_world"})
     steps: tuple[StepRecord, ...]
 
 

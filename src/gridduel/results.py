@@ -8,7 +8,7 @@ Re-running the config a log was produced from regenerates identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -17,16 +17,13 @@ import numpy as np
 from .core import (
     PHASE_BLACKOUT,
     PHASE_EMERGENCY,
-    AgentSummary,
     PerformanceConfig,
     PhaseSegment,
     RunLog,
-    StepRecord,
     classify_resilience_phases,
     operational_phase,
 )
-from .config import (_as_dict, _as_list, _bool, _decode, _done, _float, _json_object, _numbers,
-                     _pop, _str)
+from .codec import decode, encode, json_object, plain
 
 GRID_LOG_HEADER = "step,bus_id,v_pu,theta_rad,p_inj_pu,q_inj_pu"
 AGENT_LOG_HEADER = "step,agent_id,inputs,outputs,reward"
@@ -67,61 +64,14 @@ def write_agent_log(log: RunLog, path: str | Path) -> None:
 
 # -- full run-log round trip ----------------------------------------------------
 
-# Keys of an agent object in run logs and metrics, in AgentSummary field order.
-_AGENT_KEYS = ("id", "class", "learner")
-
-
-def _agents_doc(log: RunLog) -> list[dict]:
-    return [dict(zip(_AGENT_KEYS, vars(a).values())) for a in log.agents]
-
-
 def write_run_log(log: RunLog, path: str | Path) -> None:
     """Self-contained JSON form of a run log, sufficient to recompute metrics."""
-    doc = {
-        "config_fingerprint": log.config_fingerprint,
-        "name": log.name,
-        "seed": log.seed,
-        "rounds": log.rounds,
-        "steps_per_turn": log.steps_per_turn,
-        "performance": asdict(log.performance),
-        "agents": _agents_doc(log),
-        "initial": {
-            "v_pu": list(log.initial_v_pu),
-            "theta_rad": list(log.initial_theta_rad),
-            "converged": log.initial_converged,
-            "p_world": log.initial_p_world,
-        },
-        # One object per step, keyed by the StepRecord fields in declaration order.
-        "steps": [{key: list(value) if isinstance(value, (tuple, np.ndarray)) else value
-                   for key, value in vars(rec).items()} for rec in log.steps],
-    }
-    _write_text(path, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
+    _write_text(path, json.dumps(encode(log), indent=2, ensure_ascii=False) + "\n")
 
 
 def read_run_log(path: str | Path) -> RunLog:
     """Load a file written by write_run_log; a malformed one raises ConfigError naming the key."""
-    top = "run_log"
-    d = _json_object(Path(path).read_text(encoding="utf-8"), top)
-    agents = []
-    for i, raw in enumerate(_as_list(_pop(d, "agents", top), f"{top}.agents")):
-        ctx = f"{top}.agents[{i}]"
-        a = _as_dict(raw, ctx)
-        agents.append(AgentSummary(*(_str(_pop(a, key, ctx), f"{ctx}.{key}") for key in _AGENT_KEYS)))
-        _done(a, ctx)
-    ctx = f"{top}.initial"
-    initial = _as_dict(_pop(d, "initial", top), ctx)
-    steps = _as_list(_pop(d, "steps", top), f"{top}.steps")
-    log = _decode(
-        RunLog, d, top,
-        agents=tuple(agents),
-        steps=tuple(_decode(StepRecord, s, f"{top}.steps[{i}]") for i, s in enumerate(steps)),
-        initial_v_pu=_numbers(_pop(initial, "v_pu", ctx), f"{ctx}.v_pu"),
-        initial_theta_rad=_numbers(_pop(initial, "theta_rad", ctx), f"{ctx}.theta_rad"),
-        initial_converged=_bool(_pop(initial, "converged", ctx), f"{ctx}.converged"),
-        initial_p_world=_float(_pop(initial, "p_world", ctx), f"{ctx}.p_world"),
-    )
-    _done(initial, ctx)
-    return log
+    return decode(RunLog, json_object(Path(path).read_text(encoding="utf-8"), "run_log"), "run_log")
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -172,30 +122,13 @@ def compute_metrics(log: RunLog, cfg: PerformanceConfig) -> MetricsReport:
     )
 
 
+# The run's effective settings a metrics document starts with, in their order there.
+_METRICS_HEADER = ("name", "seed", "rounds", "steps_per_turn", "config_fingerprint", "performance", "agents")
+
+
 def metrics_doc(report: MetricsReport, log: RunLog) -> dict:
     """JSON-ready metrics document, annotated with the run's effective settings."""
-    return {
-        "name": log.name,
-        "seed": log.seed,
-        "rounds": log.rounds,
-        "steps_per_turn": log.steps_per_turn,
-        "config_fingerprint": log.config_fingerprint,
-        "performance": asdict(log.performance),
-        "agents": _agents_doc(log),
-        "steps": list(report.steps),
-        "mean_voltage": list(report.mean_voltage),
-        "p_world": list(report.p_world),
-        "operational_phase": list(report.operational_phase),
-        "cumulative_positive_rewards": {
-            agent_id: list(series)
-            for agent_id, series in report.cumulative_positive_rewards.items()
-        },
-        "attack_success_step": report.attack_success_step,
-        "resilience_segments": [
-            {"phase": seg.phase, "start": seg.start, "end": seg.end}
-            for seg in report.resilience_segments
-        ],
-    }
+    return {**{name: plain(getattr(log, name)) for name in _METRICS_HEADER}, **encode(report)}
 
 
 def write_metrics(report: MetricsReport, log: RunLog, path: str | Path) -> None:

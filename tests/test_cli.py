@@ -249,7 +249,7 @@ ASYMMETRY = ["asymmetry", "--t0", "0", "--metrics"]
     "source, command, edit, message",
     [
         ("run_log", ["metrics", "--log"], lambda doc: {"name": "x"},
-         r"run_log: missing required key 'agents'"),
+         r"run_log: missing required key 'config_fingerprint'"),
         ("run_log", ["metrics", "--log"], _without("initial"),
          r"run_log: missing required key 'initial'"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.pop("v_pu")),
