@@ -10,6 +10,7 @@ naming its key path from the document root, e.g. ``run_log.steps[3].v_pu``.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -26,8 +27,15 @@ class ConfigError(ValueError):
 
 
 def json_object(text: str, ctx: str) -> dict:
+    def unique(pairs: list) -> dict:  # json.loads alone would keep the last of repeated keys
+        d = dict(pairs)
+        if len(d) < len(pairs):
+            counts = collections.Counter(key for key, _ in pairs)
+            raise ConfigError(f"{ctx}: duplicate key(s) {sorted(k for k, n in counts.items() if n > 1)}")
+        return d
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise ConfigError(f"parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
     return as_dict(doc, ctx)

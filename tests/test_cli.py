@@ -233,6 +233,20 @@ def _step_edit(fn):
     return edit
 
 
+def _inner(key, fn):
+    def edit(doc):
+        fn(doc[key])
+        return doc
+    return edit
+
+
+def _repeated(**first):
+    """The document's text with the given keys written once more, before all others."""
+    def edit(doc):
+        return json.dumps(first)[:-1] + ", " + json.dumps(doc)[1:]
+    return edit
+
+
 def _without(*keys):
     def edit(doc):
         for key in keys:
@@ -243,6 +257,7 @@ def _without(*keys):
 
 PLOT = ["plot", "--series", "mean_voltage", "--out", "x.svg", "--metrics"]
 ASYMMETRY = ["asymmetry", "--t0", "0", "--metrics"]
+VALIDATE = ["validate", "--config"]
 
 
 @pytest.mark.parametrize(
@@ -268,6 +283,16 @@ ASYMMETRY = ["asymmetry", "--t0", "0", "--metrics"]
          r"run_log\.steps\[1\]: unknown key\(s\) \['note'\]"),
         ("run_log", ["metrics", "--log"], _edited(performance={"p_fail": 2.0}),
          r"run_log\.performance: require 0 <= p_fail < p_star <= 1"),
+        ("run_log", ["metrics", "--log"], _inner("initial", lambda d: d.update(note=1)),
+         r"run_log\.initial: unknown key\(s\) \['note'\]"),
+        ("run_log", ["metrics", "--log"], _inner("agents", lambda a: a[0].pop("id")),
+         r"run_log\.agents\[0\]: missing required key 'id'"),
+        ("run_log", ["metrics", "--log"], _repeated(seed=1), r"run_log: duplicate key\(s\) \['seed'\]"),
+        ("config", VALIDATE, _inner("schedule", lambda d: d.update(note=1)),
+         r"config\.schedule: unknown key\(s\) \['note'\]"),
+        ("config", VALIDATE, _inner("schedule", lambda d: d.update(rounds="3")),
+         r"config\.schedule\.rounds: expected an integer"),
+        ("config", VALIDATE, _repeated(seed=1), r"config: duplicate key\(s\) \['seed'\]"),
         ("metrics", PLOT, _without("mean_voltage"), r"metrics: missing required key 'mean_voltage'"),
         ("metrics", PLOT, _edited(mean_voltage=[1.0, None]), r"mean_voltage: expected an array of numbers"),
         ("metrics", PLOT, _edited(steps="1"), r"steps: expected an array"),
@@ -279,16 +304,19 @@ ASYMMETRY = ["asymmetry", "--t0", "0", "--metrics"]
     ],
     ids=["run_log_without_agents", "run_log_without_initial", "step_without_v_pu", "string_voltage",
          "boolean_voltage", "string_step_time", "numeric_label", "nan_reward", "unknown_step_key",
-         "bad_performance", "plot_without_series", "plot_null_sample", "plot_steps_not_array",
+         "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
+         "unknown_schedule_key", "string_rounds", "config_duplicate_key", "plot_without_series", "plot_null_sample", "plot_steps_not_array",
          "plot_unknown_agent",
          "asymmetry_without_p_world", "asymmetry_without_p_fail", "asymmetry_on_array"],
 )
 def test_malformed_run_log_or_metrics_exits_one(tmp_path, monkeypatch, capsys, source, command, edit, message):
+    """A malformed config, run log or metrics file exits 1 naming its key path."""
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", TWO_BUS]) == 0
-    doc = json.loads((tmp_path / "out" / f"two_bus_{source}.json").read_text(encoding="utf-8"))
+    path = Path(TWO_BUS) if source == "config" else tmp_path / "out" / f"two_bus_{source}.json"
+    bad_doc = edit(json.loads(path.read_text(encoding="utf-8")))
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(edit(doc)), encoding="utf-8")
+    bad.write_text(bad_doc if isinstance(bad_doc, str) else json.dumps(bad_doc), encoding="utf-8")
     capsys.readouterr()
     assert main([*command, str(bad)]) == 1
     assert re.search("^error: " + message, capsys.readouterr().err)
