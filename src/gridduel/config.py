@@ -3,14 +3,14 @@
 One JSON document pins everything a run needs: the grid (inline or the
 built-in token), the agents with their sensors, actuators, reward and
 learner settings, the round schedule, the performance thresholds and the
-output sinks.  Loading is strict: unknown keys anywhere are rejected so a
+output sinks.  Loading is strict: unknown or repeated keys are rejected so a
 typo cannot silently change an experiment, and every violation names the
 offending field.  Saving is canonical (fixed key order, shortest float
 representation), so a config has exactly one on-disk form and a stable
 fingerprint.
 
-Both directions go through the field-driven codec (gridduel.codec); only the
-agent block and the grid token have readers and writers of their own.
+Both directions go through gridduel.codec; only the agent block has its own
+reader and writer, and the grid (a builder token or an inline model) its reader.
 """
 
 from __future__ import annotations
