@@ -9,12 +9,13 @@ never affected by it.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .agents import TrainingDiverged
 from .codec import ConfigError, as_dict, as_list, json_object, numbers, pop, read_float, read_int
@@ -25,6 +26,7 @@ from .powerflow import solve_newton_raphson
 from .results import (
     compute_metrics,
     emit_plot,
+    json_pieces,
     metrics_doc,
     read_run_log,
     write_agent_log,
@@ -135,7 +137,7 @@ def _cmd_powerflow(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     run_log = read_run_log(args.log)
     report = compute_metrics(run_log, run_log.performance)
-    print(json.dumps(metrics_doc(report, run_log), indent=2, ensure_ascii=False))
+    sys.stdout.writelines(json_pieces(metrics_doc(report, run_log)))
     return 0
 
 
@@ -145,19 +147,28 @@ def _load_metrics(path: str) -> dict:
 
 def _first_step(doc: dict) -> int:
     """Time of the first metrics sample; 0 when the file has no steps."""
-    steps = as_list(doc.get("steps", []), "steps")
-    return read_int(steps[0], "steps[0]") if steps else 0
+    steps = as_list(doc.get("steps", []), "metrics.steps")
+    return read_int(steps[0], "metrics.steps[0]") if steps else 0
+
+
+def _series(doc: dict, key: str, ctx: str) -> np.ndarray:
+    """The finite samples under key; a run log may hold NaN, a series to draw or check may not."""
+    values = numbers(pop(doc, key, ctx), f"{ctx}.{key}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(f"{ctx}.{key}[{bad[0]}]: expected a finite number")
+    return values
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     doc = _load_metrics(args.metrics)
     name = args.series
     if name in ("mean_voltage", "p_world"):
-        series = numbers(pop(doc, name, "metrics"), name)
+        series = _series(doc, name, "metrics")
     elif name.startswith("cumulative_positive_rewards."):
-        ctx = "cumulative_positive_rewards"
-        by_agent = as_dict(pop(doc, ctx, "metrics"), ctx)
-        series = numbers(pop(by_agent, name.split(".", 1)[1], ctx), name)
+        ctx = "metrics.cumulative_positive_rewards"
+        by_agent = as_dict(pop(doc, "cumulative_positive_rewards", "metrics"), ctx)
+        series = _series(by_agent, name.split(".", 1)[1], ctx)
     else:
         print(f"error: unknown series {name!r}; use mean_voltage, p_world or "
               "cumulative_positive_rewards.<agent_id>", file=sys.stderr)
@@ -173,9 +184,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def _cmd_asymmetry(args: argparse.Namespace) -> int:
     doc = _load_metrics(args.metrics)
-    p_series = numbers(pop(doc, "p_world", "metrics"), "p_world")
-    performance = as_dict(pop(doc, "performance", "metrics"), "performance")
-    p_fail = read_float(pop(performance, "p_fail", "performance"), "performance.p_fail")
+    p_series = _series(doc, "p_world", "metrics")
+    performance = as_dict(pop(doc, "performance", "metrics"), "metrics.performance")
+    p_fail = read_float(pop(performance, "p_fail", "metrics.performance"), "metrics.performance.p_fail")
     ok, violation = check_asymmetry_series(p_series, p_fail, args.t0, first_t=_first_step(doc))
     if ok:
         print(f"holds: p stayed above p_fail={p_fail:.6g} for all t > {args.t0}")

@@ -1,16 +1,17 @@
 """Run-log persistence, derived metrics and dependency-free SVG charts.
 
-All writers are byte-deterministic: fixed header order, 17-significant-digit
-floats in the CSVs, shortest round-trip floats in JSON, LF line endings.
-Re-running the config a log was produced from regenerates identical files.
+All writers stream and are byte-deterministic: fixed header order,
+17-significant-digit floats in the CSVs, shortest round-trip floats in JSON,
+LF line endings.  Re-running a log's config regenerates identical files.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,40 +34,45 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_text(path: str | Path, text: str) -> None:
+_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
+_BATCH = 4096  # JSON chunks, a few bytes each, joined per write
+
+
+def json_pieces(doc) -> Iterator[str]:
+    """The text of json.dumps(doc, indent=2, ensure_ascii=False) + "\n", _BATCH chunks a piece."""
+    chunks = itertools.chain(_JSON.iterencode(doc), ["\n"])
+    while batch := list(itertools.islice(chunks, _BATCH)):
+        yield "".join(batch)
+
+
+def _write_lines(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write the pieces in order, so no output is ever held whole as text."""
     p = Path(path)
     if p.parent != Path(""):
         p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text, encoding="utf-8", newline="\n")
+    with p.open("w", encoding="utf-8", newline="\n") as f:
+        f.writelines(pieces)
 
 
 def write_grid_log(log: RunLog, path: str | Path) -> None:
     """Per-step, per-bus grid state as CSV: one row per (step, bus)."""
-    rows = [GRID_LOG_HEADER]
-    for rec in log.steps:
-        for b in range(len(rec.v_pu)):
-            rows.append(
-                f"{rec.t},{b},{_fmt(rec.v_pu[b])},{_fmt(rec.theta_rad[b])},"
-                f"{_fmt(rec.p_inj_pu[b])},{_fmt(rec.q_inj_pu[b])}"
-            )
-    _write_text(path, "\n".join(rows) + "\n")
+    rows = (f"{rec.t},{b},{_fmt(rec.v_pu[b])},{_fmt(rec.theta_rad[b])},{_fmt(rec.p_inj_pu[b])},"
+            f"{_fmt(rec.q_inj_pu[b])}\n" for rec in log.steps for b in range(len(rec.v_pu)))
+    _write_lines(path, itertools.chain([GRID_LOG_HEADER + "\n"], rows))
 
 
 def write_agent_log(log: RunLog, path: str | Path) -> None:
     """Per-turn agent record as CSV; vector cells are semicolon-joined."""
-    rows = [AGENT_LOG_HEADER]
-    for rec in log.steps:
-        inputs = ";".join(_fmt(v) for v in rec.x)
-        outputs = ";".join(rec.y)
-        rows.append(f"{rec.t},{rec.agent_id},{inputs},{outputs},{_fmt(rec.reward)}")
-    _write_text(path, "\n".join(rows) + "\n")
+    rows = (f"{rec.t},{rec.agent_id},{';'.join(map(_fmt, rec.x))},{';'.join(rec.y)},{_fmt(rec.reward)}\n"
+            for rec in log.steps)
+    _write_lines(path, itertools.chain([AGENT_LOG_HEADER + "\n"], rows))
 
 
 # -- full run-log round trip ----------------------------------------------------
 
 def write_run_log(log: RunLog, path: str | Path) -> None:
     """Self-contained JSON form of a run log, sufficient to recompute metrics."""
-    _write_text(path, json.dumps(encode(log), indent=2, ensure_ascii=False) + "\n")
+    _write_lines(path, json_pieces(encode(log)))
 
 
 def read_run_log(path: str | Path) -> RunLog:
@@ -132,7 +138,7 @@ def metrics_doc(report: MetricsReport, log: RunLog) -> dict:
 
 
 def write_metrics(report: MetricsReport, log: RunLog, path: str | Path) -> None:
-    _write_text(path, json.dumps(metrics_doc(report, log), indent=2, ensure_ascii=False) + "\n")
+    _write_lines(path, json_pieces(metrics_doc(report, log)))
 
 
 # -- SVG line chart ---------------------------------------------------------------
@@ -238,4 +244,4 @@ def emit_plot(
             f"{_escape(y_label)}</text>"
         )
     out.append("</svg>")
-    _write_text(path, "\n".join(out) + "\n")
+    _write_lines(path, (line + "\n" for line in out))

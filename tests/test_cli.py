@@ -294,20 +294,26 @@ VALIDATE = ["validate", "--config"]
          r"config\.schedule\.rounds: expected an integer"),
         ("config", VALIDATE, _repeated(seed=1), r"config: duplicate key\(s\) \['seed'\]"),
         ("metrics", PLOT, _without("mean_voltage"), r"metrics: missing required key 'mean_voltage'"),
-        ("metrics", PLOT, _edited(mean_voltage=[1.0, None]), r"mean_voltage: expected an array of numbers"),
-        ("metrics", PLOT, _edited(steps="1"), r"steps: expected an array"),
+        ("metrics", PLOT, _edited(mean_voltage=[1.0, None]), r"metrics\.mean_voltage: expected an array of numbers"),
+        ("metrics", PLOT, _edited(mean_voltage=[1.0, float("nan"), 1.02]),
+         r"metrics\.mean_voltage\[1\]: expected a finite number"),
+        ("metrics", PLOT, _edited(steps="1"), r"metrics\.steps: expected an array"),
         ("metrics", ["plot", "--series", "cumulative_positive_rewards.ghost", "--out", "x.svg", "--metrics"],
-         lambda doc: doc, r"cumulative_positive_rewards: missing required key 'ghost'"),
+         lambda doc: doc, r"metrics\.cumulative_positive_rewards: missing required key 'ghost'"),
         ("metrics", ASYMMETRY, _without("p_world"), r"metrics: missing required key 'p_world'"),
-        ("metrics", ASYMMETRY, _edited(performance={}), r"performance: missing required key 'p_fail'"),
+        ("metrics", ASYMMETRY, _edited(performance={}), r"metrics\.performance: missing required key 'p_fail'"),
+        ("metrics", ASYMMETRY, lambda doc: {**doc, "p_world": [float("inf")] * len(doc["p_world"])},
+         r"metrics\.p_world\[0\]: expected a finite number"),
         ("metrics", ASYMMETRY, lambda doc: [doc], r"metrics: expected an object"),
     ],
     ids=["run_log_without_agents", "run_log_without_initial", "step_without_v_pu", "string_voltage",
          "boolean_voltage", "string_step_time", "numeric_label", "nan_reward", "unknown_step_key",
          "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
-         "unknown_schedule_key", "string_rounds", "config_duplicate_key", "plot_without_series", "plot_null_sample", "plot_steps_not_array",
+         "unknown_schedule_key", "string_rounds", "config_duplicate_key", "plot_without_series", "plot_null_sample", "plot_nan_sample",
+         "plot_steps_not_array",
          "plot_unknown_agent",
-         "asymmetry_without_p_world", "asymmetry_without_p_fail", "asymmetry_on_array"],
+         "asymmetry_without_p_world", "asymmetry_without_p_fail", "asymmetry_infinite_p_world",
+         "asymmetry_on_array"],
 )
 def test_malformed_run_log_or_metrics_exits_one(tmp_path, monkeypatch, capsys, source, command, edit, message):
     """A malformed config, run log or metrics file exits 1 naming its key path."""

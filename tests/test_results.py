@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridduel.agents import reward as reward_fn
+from gridduel.codec import encode
 from gridduel.core import AgentSummary, PerformanceConfig, RunLog, StepRecord, run_experiment
 from gridduel.results import (
     AGENT_LOG_HEADER,
@@ -16,6 +18,7 @@ from gridduel.results import (
     VIEW_H,
     compute_metrics,
     emit_plot,
+    json_pieces,
     metrics_doc,
     read_run_log,
     write_agent_log,
@@ -160,6 +163,94 @@ def test_run_log_write_read_write_is_byte_identical(tmp_path_factory, log):
     write_run_log(log, directory / "first.json")
     write_run_log(read_run_log(directory / "first.json"), directory / "second.json")
     assert (directory / "second.json").read_bytes() == (directory / "first.json").read_bytes()
+
+
+# -- streamed writers -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def long_log():
+    """A poc-shaped run log of 4000 steps: 14 buses, 14 inputs, two agents."""
+    rng = np.random.default_rng(7)
+
+    def vec(scale, centre=0.0):
+        return centre + rng.normal(0.0, scale, 14)
+
+    steps = tuple(
+        StepRecord(t=t, agent_id="ab"[t % 2], x=vec(0.02, 1.0), y=("increment", "hold"),
+                   reward=float(rng.normal()), p_world=float(rng.random()), v_pu=vec(0.02, 1.0),
+                   theta_rad=vec(0.01), p_inj_pu=vec(0.05), q_inj_pu=vec(0.05), converged=t % 97 != 0)
+        for t in range(1, 4001)
+    )
+    return RunLog(
+        config_fingerprint="f" * 64, name="long", seed=1, rounds=2000, steps_per_turn=1,
+        performance=CFG, agents=(AgentSummary("a", "defender", "qnet"), AgentSummary("b", "attacker", "qnet")),
+        initial_v_pu=vec(0.02, 1.0), initial_theta_rad=vec(0.01), initial_converged=True,
+        initial_p_world=1.0, steps=steps,
+    )
+
+
+def _one_shot_json(doc):
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _one_shot_grid_log(log):
+    rows = [GRID_LOG_HEADER]
+    for rec in log.steps:
+        for b in range(len(rec.v_pu)):
+            rows.append(f"{rec.t},{b},{rec.v_pu[b]:.17g},{rec.theta_rad[b]:.17g},"
+                        f"{rec.p_inj_pu[b]:.17g},{rec.q_inj_pu[b]:.17g}")
+    return "\n".join(rows) + "\n"
+
+
+def _one_shot_agent_log(log):
+    rows = [AGENT_LOG_HEADER]
+    for rec in log.steps:
+        inputs = ";".join(f"{v:.17g}" for v in rec.x)
+        rows.append(f"{rec.t},{rec.agent_id},{inputs},{';'.join(rec.y)},{rec.reward:.17g}")
+    return "\n".join(rows) + "\n"
+
+
+def test_streamed_writers_match_the_one_shot_text(tmp_path, long_log):
+    """Across many write batches, every writer gives the bytes of its one-shot form."""
+    report = compute_metrics(long_log, CFG)
+    for doc in (encode(long_log), metrics_doc(report, long_log)):
+        assert len(list(json_pieces(doc))) > 1
+    write_run_log(long_log, tmp_path / "log.json")
+    write_metrics(report, long_log, tmp_path / "metrics.json")
+    write_grid_log(long_log, tmp_path / "grid.csv")
+    write_agent_log(long_log, tmp_path / "agent.csv")
+    expected = {
+        "log.json": _one_shot_json(encode(long_log)),
+        "metrics.json": _one_shot_json(metrics_doc(report, long_log)),
+        "grid.csv": _one_shot_grid_log(long_log),
+        "agent.csv": _one_shot_agent_log(long_log),
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+
+def _traced_peak(write) -> int:
+    """Peak bytes traced while write() runs, above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "writer, bound",
+    [(write_run_log, 2.0), (write_grid_log, 0.5), (write_agent_log, 0.5)],
+    ids=["run_log", "grid_log", "agent_log"],
+)
+def test_writer_memory_stays_below_file_size(tmp_path, long_log, writer, bound):
+    """No writer holds its whole text: the run log's peak includes only its encoded document."""
+    path = tmp_path / "out"
+    peak = _traced_peak(lambda: writer(long_log, path))
+    assert peak < bound * path.stat().st_size
 
 
 # -- metrics -----------------------------------------------------------------------------
