@@ -3,7 +3,6 @@
 from .agents import (
     ATTACKER,
     DEFENDER,
-    ActionGroup,
     ActuatorRef,
     EpsilonSchedule,
     QNetAgent,
@@ -31,7 +30,6 @@ from .config import (
 )
 from .core import (
     Action,
-    Observation,
     PerformanceConfig,
     PhaseSegment,
     RunLog,

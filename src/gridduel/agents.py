@@ -1,10 +1,11 @@
-"""Agent behaviour: reward curve, discrete action groups, and two learners.
+"""Agent behaviour: reward curve, the move table, and two learners.
 
 Rewards follow a Gaussian bell over the mean of an agent's sensor inputs,
 offset by ``c`` and sign-flipped as a whole for attackers, so an attacker's
 reward is exactly the negative of a defender's for the same inputs.  Actions
 are factored: each actuator contributes one independent group of discrete
-labels and the learner picks one label per group each turn.
+labels, those of its kind in ``MOVES``, and the learner picks one label index
+per group each turn.
 
 Two interchangeable learners are provided: a small tanh Q-network trained by
 one-step TD with experience replay, and a tabular Q-learner over a
@@ -63,23 +64,27 @@ def reward(params: RewardParams, x_mean: float) -> float:
     return bell if params.agent_class == DEFENDER else -bell
 
 
-# -- discrete action groups ---------------------------------------------------
+# -- the move table -----------------------------------------------------------
 
 TRANSFORMER = "transformer"
 GENERATOR = "generator"
 LOAD = "load"
-
-LABELS_BY_KIND: dict[str, tuple[str, ...]] = {
-    TRANSFORMER: ("decrement", HOLD, "increment"),
-    GENERATOR: ("p_dec", "p_inc", "q_dec", "q_inc", HOLD),
-    LOAD: ("decrement", HOLD, "increment"),
-}
 
 # Per-step actuator increments; moves clamped at device limits degrade to hold.
 TAP_STEP = 1
 GEN_P_STEP_MW = 0.1
 GEN_Q_STEP_MVAR = 0.05
 LOAD_SCALING_STEP = 0.1
+
+# What each label adds to its device: tap steps, (MW, Mvar) or load scaling.
+# A kind's label order is the order of its learner's action indices.
+MOVES: dict[str, dict[str, float | tuple[float, float]]] = {
+    TRANSFORMER: {"decrement": -TAP_STEP, HOLD: 0, "increment": TAP_STEP},
+    GENERATOR: {"p_dec": (-GEN_P_STEP_MW, 0.0), "p_inc": (GEN_P_STEP_MW, 0.0),
+                "q_dec": (0.0, -GEN_Q_STEP_MVAR), "q_inc": (0.0, GEN_Q_STEP_MVAR), HOLD: (0.0, 0.0)},
+    LOAD: {"decrement": -LOAD_SCALING_STEP, HOLD: 0.0, "increment": LOAD_SCALING_STEP},
+}
+LABELS_BY_KIND: dict[str, tuple[str, ...]] = {kind: tuple(moves) for kind, moves in MOVES.items()}
 
 
 @dataclass(frozen=True)
@@ -88,24 +93,8 @@ class ActuatorRef:
     index: int
 
     def __post_init__(self) -> None:
-        if self.kind not in LABELS_BY_KIND:
+        if self.kind not in MOVES:
             raise ValueError(f"unknown actuator kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class ActionGroup:
-    actuator: ActuatorRef
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) < 2:
-            raise ValueError("action group needs at least 2 labels")
-        if HOLD not in self.labels:
-            raise ValueError("every action group must contain 'hold'")
-
-
-def default_group(actuator: ActuatorRef) -> ActionGroup:
-    return ActionGroup(actuator, LABELS_BY_KIND[actuator.kind])
 
 
 # -- Q-network ----------------------------------------------------------------
@@ -360,15 +349,14 @@ class TabularHyper:
 
 
 class _Learner:
-    """What both learners share: groups, exploration schedule and the turn ``act`` leaves pending.
+    """What both learners share: group sizes, exploration schedule and the turn ``act`` leaves pending.
 
     ``learn`` completes that turn; each learner defines ``act`` and ``learn`` on its own class.
     """
 
-    def __init__(self, groups: list[ActionGroup], hyper: QNetHyper | TabularHyper,
+    def __init__(self, group_sizes: tuple[int, ...], hyper: QNetHyper | TabularHyper,
                  rng: np.random.Generator):
-        self.groups = list(groups)
-        self.group_sizes = tuple(len(g.labels) for g in groups)
+        self.group_sizes = tuple(group_sizes)
         self.hyper = hyper
         self.rng = rng
         self.step_count = 0
@@ -377,9 +365,6 @@ class _Learner:
     @property
     def epsilon(self) -> float:
         return self.hyper.epsilon.value(self.step_count)
-
-    def labels_for(self, chosen: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(g.labels[i] for g, i in zip(self.groups, chosen))
 
     def _take_pending(self) -> tuple[object, tuple[int, ...]]:
         if self._pending is None:
@@ -391,9 +376,9 @@ class _Learner:
 class QNetAgent(_Learner):
     """Q-network learner over the factored action groups, trained on replay batches."""
 
-    def __init__(self, groups: list[ActionGroup], n_in: int, hyper: QNetHyper,
+    def __init__(self, group_sizes: tuple[int, ...], n_in: int, hyper: QNetHyper,
                  rng: np.random.Generator):
-        super().__init__(groups, hyper, rng)
+        super().__init__(group_sizes, hyper, rng)
         self.net = init_qnetwork(n_in, self.group_sizes, hyper.hidden, rng)
         self.buffer = ReplayBuffer(hyper.replay_capacity)
 
@@ -440,9 +425,9 @@ class TabularQAgent(_Learner):
     ``n_bins`` equal-width bins over [bin_lo, bin_hi].
     """
 
-    def __init__(self, groups: list[ActionGroup], hyper: TabularHyper,
+    def __init__(self, group_sizes: tuple[int, ...], hyper: TabularHyper,
                  rng: np.random.Generator):
-        super().__init__(groups, hyper, rng)
+        super().__init__(group_sizes, hyper, rng)
         self.table = QTable(hyper.n_bins, self.group_sizes)
 
     def discretize(self, x: np.ndarray) -> int:

@@ -173,11 +173,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         print(f"error: unknown series {name!r}; use mean_voltage, p_world or "
               "cumulative_positive_rewards.<agent_id>", file=sys.stderr)
         return 1
-    if not len(series):
-        print("error: series is empty", file=sys.stderr)
-        return 1
-    emit_plot(series, args.out, title=f"{doc.get('name', '')}: {name}",
-              x_label="step", y_label=name, x_start=_first_step(doc))
+    x_start = _first_step(doc)
+    try:
+        emit_plot(series, args.out, title=f"{doc.get('name', '')}: {name}",
+                  x_label="step", y_label=name, x_start=x_start)
+    except ValueError as e:  # an empty series, or a range too wide or too narrow to scale
+        raise ConfigError(f"metrics.{name}: {e}") from e
     print(f"wrote {args.out}")
     return 0
 

@@ -32,7 +32,6 @@ from .agents import (
     TabularHyper,
     TabularQAgent,
     boundary_offset,
-    default_group,
     usable_sigma,
 )
 from .codec import (READERS, WRITERS, ConfigError, as_dict, as_list, decode, done, encode, json_object,
@@ -45,7 +44,7 @@ TABULAR = "tabular"
 
 GRID_BUILDERS = {"arl_poc_grid": arl_poc_grid}
 
-# A learner `kind` picks its hyperparameter class and names the AgentSpec field holding it.
+# A learner `kind` picks its hyperparameter class.
 _HYPER = {QNET: QNetHyper, TABULAR: TabularHyper}
 
 
@@ -67,23 +66,34 @@ class OutputPaths:
 
 @dataclass(frozen=True)
 class AgentSpec:
+    """One agent; its class is its reward's class and its learner kind its hyperparameters' type."""
+
     id: str
-    agent_class: str
     sensors: tuple[tuple[int, str], ...]
     actuators: tuple[ActuatorRef, ...]
     reward: RewardParams
-    learner_kind: str
-    qnet: QNetHyper | None = None
-    tabular: TabularHyper | None = None
+    learner: QNetHyper | TabularHyper
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.learner, (QNetHyper, TabularHyper)):
+            raise TypeError(f"learner must be a QNetHyper or a TabularHyper, not {self.learner!r}")
+
+    @property
+    def agent_class(self) -> str:
+        return self.reward.agent_class
+
+    @property
+    def learner_kind(self) -> str:
+        return QNET if isinstance(self.learner, QNetHyper) else TABULAR
 
     def reward_params(self) -> RewardParams:
         return self.reward
 
     def make_agent(self, rng: np.random.Generator) -> QNetAgent | TabularQAgent:
-        groups = [default_group(ref) for ref in self.actuators]
-        if self.learner_kind == QNET:
-            return QNetAgent(groups, n_in=len(self.sensors), hyper=self.qnet, rng=rng)
-        return TabularQAgent(groups, hyper=self.tabular, rng=rng)
+        sizes = tuple(len(agents_mod.LABELS_BY_KIND[ref.kind]) for ref in self.actuators)
+        if isinstance(self.learner, QNetHyper):
+            return QNetAgent(sizes, n_in=len(self.sensors), hyper=self.learner, rng=rng)
+        return TabularQAgent(sizes, hyper=self.learner, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -183,15 +193,7 @@ def _parse_agent(raw, ctx: str) -> AgentSpec:
         raise ConfigError(f"{c}.kind: must be 'qnet' or 'tabular'")
     hyper = decode(_HYPER[kind], ld, c)
     done(d, ctx)
-    return AgentSpec(
-        id=agent_id,
-        agent_class=agent_class,
-        sensors=tuple(sensors),
-        actuators=tuple(actuators),
-        reward=reward_params,
-        learner_kind=kind,
-        **{kind: hyper},
-    )
+    return AgentSpec(agent_id, tuple(sensors), tuple(actuators), reward_params, hyper)
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -250,7 +252,7 @@ def _agent_doc(spec: AgentSpec) -> dict:
         "sensors": [{"bus": bus, "quantity": quantity} for bus, quantity in spec.sensors],
         "actuators": plain(spec.actuators),
         "reward": reward_doc,
-        "learner": {"kind": spec.learner_kind, **encode(getattr(spec, spec.learner_kind))},
+        "learner": {"kind": spec.learner_kind, **encode(spec.learner)},
     }
 
 

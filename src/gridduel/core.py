@@ -83,50 +83,30 @@ class WorldState:
     solution: PowerFlowSolution
 
 
-@dataclass(frozen=True)
-class Observation:
-    values: np.ndarray
-    degraded: bool
-
-
 def initial_world(grid: GridModel) -> WorldState:
     return WorldState(t=0, grid=grid, solution=solve_newton_raphson(grid))
 
 
-def observe(world: WorldState, sensors: Sequence[tuple[int, str]]) -> Observation:
-    """Voltage magnitudes at the sensors' buses; degraded when the solve failed."""
+def observe(world: WorldState, sensors: Sequence[tuple[int, str]]) -> np.ndarray:
+    """Read-only voltage magnitudes at the sensors' buses; the last finite iterate's if the solve failed."""
     values = np.array([world.solution.v_pu[bus] for bus, _ in sensors])
     values.flags.writeable = False
-    return Observation(values=values, degraded=not world.solution.converged)
+    return values
 
 
 def _apply_one(grid: GridModel, action: Action) -> GridModel:
     ref, label = action.actuator, action.label
+    move = agents_mod.MOVES[ref.kind].get(label)
+    if move is None:
+        raise ValueError(f"unknown {ref.kind} action label {label!r}")
     if label == agents_mod.HOLD:
         return grid
     if ref.kind == agents_mod.TRANSFORMER:
-        tr = grid.transformers[ref.index]
-        delta = agents_mod.TAP_STEP if label == "increment" else -agents_mod.TAP_STEP
-        return grid.with_tap(ref.index, tr.tap_pos + delta)
+        return grid.with_tap(ref.index, grid.transformers[ref.index].tap_pos + move)
     if ref.kind == agents_mod.GENERATOR:
         g = grid.generators[ref.index]
-        p, q = g.p_mw, g.q_mvar
-        if label == "p_inc":
-            p += agents_mod.GEN_P_STEP_MW
-        elif label == "p_dec":
-            p -= agents_mod.GEN_P_STEP_MW
-        elif label == "q_inc":
-            q += agents_mod.GEN_Q_STEP_MVAR
-        elif label == "q_dec":
-            q -= agents_mod.GEN_Q_STEP_MVAR
-        else:
-            raise ValueError(f"unknown generator action label {label!r}")
-        return grid.with_generator_setpoint(ref.index, p, q)
-    if ref.kind == agents_mod.LOAD:
-        ld = grid.loads[ref.index]
-        delta = agents_mod.LOAD_SCALING_STEP if label == "increment" else -agents_mod.LOAD_SCALING_STEP
-        return grid.with_load_scaling(ref.index, ld.scaling + delta)
-    raise ValueError(f"unknown actuator kind {ref.kind!r}")
+        return grid.with_generator_setpoint(ref.index, g.p_mw + move[0], g.q_mvar + move[1])
+    return grid.with_load_scaling(ref.index, grid.loads[ref.index].scaling + move)
 
 
 def apply_actions(world: WorldState, actions: Iterable[Action]) -> WorldState:
@@ -305,17 +285,13 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     for _ in range(config.rounds):
         for spec, runner in zip(config.agents, runners):
             for _ in range(config.steps_per_turn):
-                obs = observe(world, spec.sensors)
-                chosen = runner.act(obs.values)
-                labels = runner.labels_for(chosen)
-                actions = [
-                    Action(group.actuator, label)
-                    for group, label in zip(runner.groups, labels)
-                ]
-                world = apply_actions(world, actions)
-                obs_next = observe(world, spec.sensors)
-                r = reward_fn(spec.reward_params(), float(np.mean(obs_next.values)))
-                runner.learn(r, obs_next.values)
+                chosen = runner.act(observe(world, spec.sensors))
+                labels = tuple(agents_mod.LABELS_BY_KIND[ref.kind][i]
+                               for ref, i in zip(spec.actuators, chosen))
+                world = apply_actions(world, map(Action, spec.actuators, labels))
+                x_next = observe(world, spec.sensors)
+                r = reward_fn(spec.reward_params(), float(np.mean(x_next)))
+                runner.learn(r, x_next)
                 t += 1
                 # The record describes the post-action world: x is the
                 # observation the reward was evaluated on, y the action that
@@ -324,7 +300,7 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
                     StepRecord(
                         t=t,
                         agent_id=spec.id,
-                        x=obs_next.values,
+                        x=x_next,
                         y=labels,
                         reward=r,
                         p_world=system_performance(world, perf),

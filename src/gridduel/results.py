@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -167,7 +168,9 @@ def emit_plot(
     """Write a self-contained SVG line chart of one series.
 
     The x axis runs from ``x_start`` over the sample indices; a constant
-    series is drawn as a horizontal line at mid-height.
+    series is drawn as a horizontal line at mid-height.  A series whose
+    y range has no finite, nonzero width raises ValueError before any file
+    is written.
     """
     values = [float(v) for v in series]
     if not values:
@@ -176,6 +179,8 @@ def emit_plot(
     if lo == hi:
         lo -= 0.5
         hi += 0.5
+    if not 0.0 < hi - lo < math.inf:
+        raise ValueError(f"range [{lo!r}, {hi!r}] has no finite nonzero width to draw")
 
     plot_left = MARGIN_LEFT
     plot_right = VIEW_W - MARGIN_RIGHT

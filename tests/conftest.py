@@ -110,21 +110,17 @@ def experiment_config(rounds=1, steps_per_turn=1, seed=42, lone=False, learner="
     """Small reference-grid experiment used across the suite (fast learners)."""
     sensors = tuple((b, "v_pu") for b in range(14))
     small_qnet = QNetHyper(hidden=8, batch_size=4, replay_capacity=64)
-    kwargs = (
-        {"learner_kind": "qnet", "qnet": small_qnet}
-        if learner == "qnet"
-        else {"learner_kind": "tabular", "tabular": TabularHyper()}
-    )
+    hyper = small_qnet if learner == "qnet" else TabularHyper()
     attacker = AgentSpec(
-        id="attacker", agent_class="attacker", sensors=sensors,
+        id="attacker", sensors=sensors,
         actuators=tuple(ActuatorRef("transformer", i) for i in range(6)),
-        reward=RewardParams(agent_class="attacker"), **kwargs,
+        reward=RewardParams(agent_class="attacker"), learner=hyper,
     )
     defender = AgentSpec(
-        id="defender", agent_class="defender", sensors=sensors,
+        id="defender", sensors=sensors,
         actuators=tuple(ActuatorRef("generator", i) for i in range(4))
         + tuple(ActuatorRef("load", i) for i in range(6)),
-        reward=RewardParams(agent_class="defender"), **kwargs,
+        reward=RewardParams(agent_class="defender"), learner=hyper,
     )
     return ExperimentConfig(
         name="test", seed=seed, grid_source="arl_poc_grid",

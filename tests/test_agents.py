@@ -5,8 +5,7 @@ from gridduel.agents import (
     ATTACKER,
     DEFAULT_C,
     DEFENDER,
-    ActionGroup,
-    ActuatorRef,
+    LABELS_BY_KIND,
     EpsilonSchedule,
     QNetAgent,
     QNetHyper,
@@ -19,7 +18,6 @@ from gridduel.agents import (
     TrainingDiverged,
     Transition,
     boundary_offset,
-    default_group,
     forward,
     init_qnetwork,
     reward,
@@ -334,7 +332,7 @@ def test_replay_buffer_ring_overwrite():
 
 
 def _tap_groups(n=2):
-    return [default_group(ActuatorRef("transformer", i)) for i in range(n)]
+    return (len(LABELS_BY_KIND["transformer"]),) * n
 
 
 def test_qnet_agent_act_is_deterministic_given_seed():
@@ -356,17 +354,6 @@ def test_qnet_agent_epsilon_follows_schedule():
     for _ in range(1000):
         agent.act(np.ones(2))
     assert agent.epsilon == 0.05
-
-
-def test_qnet_agent_can_choose_all_holds(rng):
-    agent = QNetAgent(_tap_groups(), n_in=2, hyper=QNetHyper(), rng=rng)
-    hold_indices = tuple(g.labels.index("hold") for g in agent.groups)
-    assert agent.labels_for(hold_indices) == ("hold", "hold")
-
-
-def test_action_group_requires_hold():
-    with pytest.raises(ValueError, match="hold"):
-        ActionGroup(ActuatorRef("transformer", 0), ("up", "down"))
 
 
 # -- tabular learner -----------------------------------------------------------------

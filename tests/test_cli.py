@@ -298,6 +298,11 @@ VALIDATE = ["validate", "--config"]
         ("metrics", PLOT, _edited(mean_voltage=[1.0, float("nan"), 1.02]),
          r"metrics\.mean_voltage\[1\]: expected a finite number"),
         ("metrics", PLOT, _edited(steps="1"), r"metrics\.steps: expected an array"),
+        ("metrics", PLOT, _edited(mean_voltage=[-1e308, 1e308]),
+         r"metrics\.mean_voltage: range \[-1e\+308, 1e\+308\] has no finite nonzero width"),
+        ("metrics", PLOT, _edited(mean_voltage=[1e308, 1e308]),
+         r"metrics\.mean_voltage: range \[1e\+308, 1e\+308\] has no finite nonzero width"),
+        ("metrics", PLOT, _edited(mean_voltage=[]), r"metrics\.mean_voltage: series must be non-empty"),
         ("metrics", ["plot", "--series", "cumulative_positive_rewards.ghost", "--out", "x.svg", "--metrics"],
          lambda doc: doc, r"metrics\.cumulative_positive_rewards: missing required key 'ghost'"),
         ("metrics", ASYMMETRY, _without("p_world"), r"metrics: missing required key 'p_world'"),
@@ -310,7 +315,8 @@ VALIDATE = ["validate", "--config"]
          "boolean_voltage", "string_step_time", "numeric_label", "nan_reward", "unknown_step_key",
          "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
          "unknown_schedule_key", "string_rounds", "config_duplicate_key", "plot_without_series", "plot_null_sample", "plot_nan_sample",
-         "plot_steps_not_array",
+         "plot_steps_not_array", "plot_overflowing_range", "plot_constant_huge_series",
+         "plot_empty_series",
          "plot_unknown_agent",
          "asymmetry_without_p_world", "asymmetry_without_p_fail", "asymmetry_infinite_p_world",
          "asymmetry_on_array"],
@@ -326,3 +332,4 @@ def test_malformed_run_log_or_metrics_exits_one(tmp_path, monkeypatch, capsys, s
     capsys.readouterr()
     assert main([*command, str(bad)]) == 1
     assert re.search("^error: " + message, capsys.readouterr().err)
+    assert not (tmp_path / "x.svg").exists()

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,21 @@ def test_two_bus_fixture_has_inline_grid():
     assert grid.n_bus == 2
     assert grid.loads[0].p_mw == 5.0
     assert cfg.agents[0].learner_kind == "tabular"
+
+
+def test_agent_class_is_its_reward_class():
+    cfg = load_config_path(POC)
+    attacker = cfg.agents[0]
+    flipped = replace(attacker, reward=replace(attacker.reward, agent_class="defender"))
+    assert flipped.agent_class == "defender"
+    saved = json.loads(save_config(replace(cfg, agents=(flipped, cfg.agents[1]))))
+    assert saved["agents"][0]["class"] == "defender"
+
+
+def test_agent_spec_requires_a_learner():
+    spec = load_config_path(TWO_BUS).agents[0]
+    with pytest.raises(TypeError, match="learner must be a QNetHyper or a TabularHyper"):
+        replace(spec, learner=None)
 
 
 # -- canonical save / round trips -----------------------------------------------------

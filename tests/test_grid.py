@@ -176,12 +176,10 @@ def save_config_with_grid(grid: GridModel) -> str:
         grid_source=grid,
         agents=(AgentSpec(
             id="d",
-            agent_class="defender",
             sensors=((0, "v_pu"),),
             actuators=(ActuatorRef(kind, 0),) if (grid.loads or grid.transformers) else (),
             reward=RewardParams(agent_class="defender"),
-            learner_kind="tabular",
-            tabular=TabularHyper(),
+            learner=TabularHyper(),
         ),),
         rounds=0,
         steps_per_turn=1,

@@ -1,0 +1,54 @@
+"""The gridduel names the benchmark in perfbench/ reads keep working.
+
+perfbench reports a missing wrap point only as a stderr line and a per-layer
+zero, and it replays logged action labels with its own copy of the device
+steps; these tests fail instead.
+"""
+
+import dataclasses
+import importlib
+from pathlib import Path
+
+import pytest
+
+import gridduel
+import gridduel.cli  # noqa: F401 - the tracer wraps cli functions too
+from gridduel.config import fixture_path, load_config, load_config_path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def bench(monkeypatch):
+    """perfbench's spans and run modules, imported from its directory."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans"), importlib.import_module("run")
+
+
+def test_tracer_finds_every_wrap_point(bench):
+    spans, _ = bench
+    tracer = spans.Tracer()
+    with tracer.installed(gridduel):
+        pass
+    assert tracer.missing == []
+
+
+def test_synthetic_run_log_builds_from_poc(bench):
+    _, run = bench
+    cfg = load_config_path(fixture_path("poc.json"))
+    log = run.synthetic_run_log(gridduel, cfg, 0, 20)
+    assert len(log.steps) == 20
+    assert [(a.agent_id, a.agent_class, a.learner_kind) for a in log.agents] == [
+        ("attacker", "attacker", "qnet"), ("defender", "defender", "qnet")]
+    rows = ((rec.t, rec.agent_id, rec.x, rec.reward) for rec in log.steps)
+    assert run.check_rewards(gridduel, cfg, rows) == []
+
+
+def test_replayed_labels_match_a_tabular_duel(bench):
+    _, run = bench
+    text = run.tabular_config_text(gridduel, fixture_path("poc.json").read_text(encoding="utf-8"))
+    cfg = dataclasses.replace(load_config(text), rounds=3)
+    assert {spec.learner_kind for spec in cfg.agents} == {"tabular"}
+    log = gridduel.run_experiment(cfg)
+    assert any(label != gridduel.agents.HOLD for rec in log.steps for label in rec.y)
+    assert run.check_residuals(gridduel, cfg, log) == []
