@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when an input fails validation, 2 on runtime
 failures (I/O, diverging training).  The ARL_LOG_LEVEL environment variable
-(error, warn, info, debug) controls stderr verbosity only; file outputs are
-never affected by it.
+(error, warn, info, debug; unset or empty means warn, any other value exits 1)
+controls stderr verbosity only; file outputs are never affected by it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("ARL_LOG_LEVEL", "warn").lower()
-    logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS.get(level, logging.WARNING),
+    level = os.environ.get("ARL_LOG_LEVEL") or "warn"
+    if level.lower() not in _LOG_LEVELS:
+        raise ConfigError(f"ARL_LOG_LEVEL: unknown level {level!r}; use {', '.join(_LOG_LEVELS)}")
+    logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS[level.lower()],
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -207,9 +209,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     args = _build_parser().parse_args(argv)
     try:
+        _setup_logging()
         return _COMMANDS[args.command](args)
     except (ConfigError, ModelValidationError) as e:
         print(f"error: {e}", file=sys.stderr)

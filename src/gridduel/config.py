@@ -109,7 +109,8 @@ class ExperimentConfig:
     allow_single_class: bool = False
 
     def __post_init__(self) -> None:
-        # Also re-checks the values that `replace` overrides, e.g. from the CLI.
+        # Every invariant is checked here, so a config that is decoded, constructed
+        # in Python or changed by `replace` (e.g. a CLI override) passes the same checks.
         if not self.name:
             raise ConfigError("name: must not be empty")
         if not 0 <= self.seed < 2**64:
@@ -120,6 +121,49 @@ class ExperimentConfig:
             raise ConfigError("schedule.rounds: must be >= 0")
         if self.steps_per_turn < 1:
             raise ConfigError("schedule.steps_per_turn: must be >= 1")
+        if isinstance(self.grid_source, str) and self.grid_source not in GRID_BUILDERS:
+            raise ConfigError(f"grid: unknown grid token {self.grid_source!r}")
+        try:
+            grid = self.build_grid().validate()
+        except ModelValidationError as e:
+            raise ConfigError(f"grid: {e}") from e
+
+        ids_seen: set[str] = set()
+        for i, spec in enumerate(self.agents):
+            if spec.id in ids_seen:
+                raise ConfigError(f"agents[{i}]: duplicate agent id {spec.id!r}")
+            ids_seen.add(spec.id)
+
+        classes = {spec.agent_class for spec in self.agents}
+        if len(classes) == 1 and not self.allow_single_class:
+            raise ConfigError(f"agents: only {classes.pop()}s are present; "
+                              "set allow_single_class to run without both classes")
+
+        device_counts = {
+            agents_mod.TRANSFORMER: len(grid.transformers),
+            agents_mod.GENERATOR: len(grid.generators),
+            agents_mod.LOAD: len(grid.loads),
+        }
+        owner: dict[tuple[str, int], int] = {}
+        for i, spec in enumerate(self.agents):
+            if not spec.sensors:
+                raise ConfigError(f"agents[{i}].sensors: must not be empty")
+            for j, (bus, quantity) in enumerate(spec.sensors):
+                if quantity != V_QUANTITY:
+                    raise ConfigError(f"agents[{i}].sensors[{j}].quantity: "
+                                      f"unsupported quantity {quantity!r}")
+                if not 0 <= bus < grid.n_bus:
+                    raise ConfigError(f"agents[{i}]: sensor references missing bus {bus}")
+            for ref in spec.actuators:
+                if not 0 <= ref.index < device_counts[ref.kind]:
+                    raise ConfigError(f"agents[{i}]: actuator references missing {ref.kind} {ref.index}")
+                key = (ref.kind, ref.index)
+                if owner.get(key) == i:
+                    raise ConfigError(f"agents[{i}]: lists actuator {ref.kind}:{ref.index} twice")
+                if key in owner:
+                    raise ConfigError(
+                        f"agents[{owner[key]}] and agents[{i}] share actuator {ref.kind}:{ref.index}")
+                owner[key] = i
 
     def build_grid(self) -> GridModel:
         if isinstance(self.grid_source, str):
@@ -134,14 +178,7 @@ class ExperimentConfig:
 
 
 def _parse_grid(value, ctx: str) -> str | GridModel:
-    if isinstance(value, str):
-        if value not in GRID_BUILDERS:
-            raise ConfigError(f"{ctx}: unknown grid token {value!r}")
-        return value
-    try:
-        return decode(GridModel, value, ctx).validate()
-    except ModelValidationError as e:
-        raise ConfigError(f"{ctx}: {e}") from e
+    return value if isinstance(value, str) else decode(GridModel, value, ctx)
 
 
 def _parse_agent(raw, ctx: str) -> AgentSpec:
@@ -152,16 +189,11 @@ def _parse_agent(raw, ctx: str) -> AgentSpec:
         raise ConfigError(f"{ctx}.class: must be 'attacker' or 'defender'")
 
     sensors = []
-    raw_sensors = as_list(pop(d, "sensors", ctx), f"{ctx}.sensors")
-    if not raw_sensors:
-        raise ConfigError(f"{ctx}.sensors: must not be empty")
-    for i, s in enumerate(raw_sensors):
+    for i, s in enumerate(as_list(pop(d, "sensors", ctx), f"{ctx}.sensors")):
         c = f"{ctx}.sensors[{i}]"
         sd = as_dict(s, c)
         bus = read_int(pop(sd, "bus", c), f"{c}.bus")
         quantity = read_str(sd.pop("quantity", V_QUANTITY), f"{c}.quantity")
-        if quantity != V_QUANTITY:
-            raise ConfigError(f"{c}.quantity: unsupported quantity {quantity!r}")
         done(sd, c)
         sensors.append((bus, quantity))
 
@@ -198,46 +230,7 @@ def _parse_agent(raw, ctx: str) -> AgentSpec:
 
 def load_config(text: str) -> ExperimentConfig:
     """Parse and fully validate one experiment document."""
-    cfg = decode(ExperimentConfig, json_object(text, "config"), "config")
-    _validate_cross(cfg)
-    return cfg
-
-
-def _validate_cross(cfg: ExperimentConfig) -> None:
-    grid = cfg.build_grid()
-
-    ids_seen: dict[str, int] = {}
-    for i, spec in enumerate(cfg.agents):
-        if spec.id in ids_seen:
-            raise ConfigError(f"agents[{i}]: duplicate agent id {spec.id!r}")
-        ids_seen[spec.id] = i
-
-    classes = {spec.agent_class for spec in cfg.agents}
-    if len(classes) == 1 and not cfg.allow_single_class:
-        only = next(iter(classes))
-        raise ConfigError(
-            f"agents: only {only}s are present; set allow_single_class to run without both classes"
-        )
-
-    device_counts = {
-        agents_mod.TRANSFORMER: len(grid.transformers),
-        agents_mod.GENERATOR: len(grid.generators),
-        agents_mod.LOAD: len(grid.loads),
-    }
-    owner: dict[tuple[str, int], int] = {}
-    for i, spec in enumerate(cfg.agents):
-        for bus, _ in spec.sensors:
-            if not 0 <= bus < grid.n_bus:
-                raise ConfigError(f"agents[{i}]: sensor references missing bus {bus}")
-        for ref in spec.actuators:
-            if not 0 <= ref.index < device_counts[ref.kind]:
-                raise ConfigError(f"agents[{i}]: actuator references missing {ref.kind} {ref.index}")
-            key = (ref.kind, ref.index)
-            if key in owner:
-                raise ConfigError(
-                    f"agents[{owner[key]}] and agents[{i}] share actuator {ref.kind}:{ref.index}"
-                )
-            owner[key] = i
+    return decode(ExperimentConfig, json_object(text, "config"), "config")
 
 
 # -- canonical save -------------------------------------------------------------

@@ -281,7 +281,6 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     world = initial_world(grid)
     init = world
     records: list[StepRecord] = []
-    t = 0
     for _ in range(config.rounds):
         for spec, runner in zip(config.agents, runners):
             for _ in range(config.steps_per_turn):
@@ -292,13 +291,12 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
                 x_next = observe(world, spec.sensors)
                 r = reward_fn(spec.reward_params(), float(np.mean(x_next)))
                 runner.learn(r, x_next)
-                t += 1
                 # The record describes the post-action world: x is the
                 # observation the reward was evaluated on, y the action that
                 # produced this state.
                 records.append(
                     StepRecord(
-                        t=t,
+                        t=world.t,
                         agent_id=spec.id,
                         x=x_next,
                         y=labels,

@@ -219,6 +219,17 @@ def test_log_level_env_var_controls_stderr_only(tmp_path):
     assert quiet == loud
 
 
+@pytest.mark.parametrize("level, code", [("verbose", 1), ("", 0), ("DeBuG", 0)])
+def test_unknown_log_level_exits_one(monkeypatch, capsys, level, code):
+    monkeypatch.setenv("ARL_LOG_LEVEL", level)
+    assert main(["validate", "--config", TWO_BUS]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "error: ARL_LOG_LEVEL: unknown level 'verbose'; use error, warn, info, debug" in err
+    else:
+        assert "error" not in err
+
+
 def _edited(**changes):
     def edit(doc):
         doc.update(changes)

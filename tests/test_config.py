@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridduel.agents import ActuatorRef
 from gridduel.cli import main
 from gridduel.config import ConfigError, fixture_path, load_config, load_config_path, save_config
+from gridduel.grid import arl_poc_grid
 
 POC = fixture_path("poc.json")
 LONE = fixture_path("lone_attacker.json")
@@ -61,7 +63,8 @@ def test_agent_class_is_its_reward_class():
     attacker = cfg.agents[0]
     flipped = replace(attacker, reward=replace(attacker.reward, agent_class="defender"))
     assert flipped.agent_class == "defender"
-    saved = json.loads(save_config(replace(cfg, agents=(flipped, cfg.agents[1]))))
+    # Two defenders are one class, which only a single-class config may hold.
+    saved = json.loads(save_config(replace(cfg, agents=(flipped, cfg.agents[1]), allow_single_class=True)))
     assert saved["agents"][0]["class"] == "defender"
 
 
@@ -177,6 +180,13 @@ def test_overlapping_actuators_rejected():
     doc = poc_doc()
     doc["agents"][1]["actuators"].append({"kind": "transformer", "index": 3})
     with pytest.raises(ConfigError, match=r"agents\[0\] and agents\[1\] share actuator transformer:3"):
+        load_doc(doc)
+
+
+def test_actuator_listed_twice_rejected():
+    doc = poc_doc()
+    doc["agents"][0]["actuators"].append({"kind": "transformer", "index": 0})
+    with pytest.raises(ConfigError, match=r"agents\[0\]: lists actuator transformer:0 twice"):
         load_doc(doc)
 
 
@@ -392,6 +402,51 @@ def test_non_finite_numbers_rejected(path, edit, field):
     edit(doc)
     with pytest.raises(ConfigError, match=field + ": expected a finite number"):
         load_doc(doc)  # json.dumps writes NaN / Infinity, which json.loads accepts
+
+
+def _with_agent(i, **changes):
+    """An edit of a config that changes fields of its agent i, each a function of the agent."""
+    def edit(cfg):
+        spec = cfg.agents[i]
+        spec = replace(spec, **{name: fn(spec) for name, fn in changes.items()})
+        return replace(cfg, agents=cfg.agents[:i] + (spec,) + cfg.agents[i + 1:])
+    return edit
+
+
+def _zero_impedance_grid(cfg):
+    grid = arl_poc_grid()
+    line = replace(grid.lines[0], r_pu=0.0, x_pu=0.0)
+    return replace(cfg, grid_source=replace(grid, lines=(line,) + grid.lines[1:]))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_with_agent(0, actuators=lambda a: (ActuatorRef("transformer", 99),) + a.actuators[1:]),
+         r"agents\[0\]: actuator references missing transformer 99"),
+        (_with_agent(0, sensors=lambda a: ((99, "v_pu"),) + a.sensors[1:]), "missing bus 99"),
+        (lambda cfg: replace(cfg, grid_source="nope"), "unknown grid token"),
+        (_with_agent(0, sensors=lambda a: ()), r"agents\[0\].sensors.*empty"),
+        (_with_agent(0, sensors=lambda a: ((0, "p_mw"),) + a.sensors[1:]),
+         r"agents\[0\]\.sensors\[0\]\.quantity: unsupported quantity 'p_mw'"),
+        (_with_agent(1, actuators=lambda a: a.actuators + (ActuatorRef("transformer", 3),)),
+         r"agents\[0\] and agents\[1\] share actuator transformer:3"),
+        (_with_agent(1, id=lambda a: "attacker"), "duplicate agent id"),
+        (lambda cfg: replace(cfg, agents=cfg.agents[:1]), "allow_single_class"),
+        (_with_agent(0, actuators=lambda a: a.actuators + a.actuators[:1]),
+         r"agents\[0\]: lists actuator transformer:0 twice"),
+        (_zero_impedance_grid, "grid.*zero-impedance"),
+    ],
+    ids=["missing_actuator_device", "missing_sensor_bus", "unknown_grid_token", "empty_sensors",
+         "non_voltage_sensor", "shared_actuator", "duplicate_agent_id", "single_class",
+         "actuator_listed_twice", "zero_impedance_inline_grid"],
+)
+def test_python_built_config_is_checked(edit, message):
+    """A config built in Python or changed with `replace` goes through the checks that a loaded one does."""
+    cfg = load_config_path(POC)
+    assert cfg.agents[0].id == "attacker"
+    with pytest.raises(ConfigError, match=message):
+        edit(cfg)
 
 
 # -- codec property: any valid document has one canonical form -----------------------
