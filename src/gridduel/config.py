@@ -130,6 +130,9 @@ class ExperimentConfig:
 
         ids_seen: set[str] = set()
         for i, spec in enumerate(self.agents):
+            if not spec.id or any(c in spec.id for c in ",\n\r"):  # a cell of the agent CSV
+                raise ConfigError(f"agents[{i}].id: must be non-empty, without ',', '\\n' or '\\r'; "
+                                  f"got {spec.id!r}")
             if spec.id in ids_seen:
                 raise ConfigError(f"agents[{i}]: duplicate agent id {spec.id!r}")
             ids_seen.add(spec.id)

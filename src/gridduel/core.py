@@ -139,16 +139,25 @@ def system_performance(world: WorldState, cfg: PerformanceConfig) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - np.abs(v - 1.0) / half_band)))
 
 
+def operational_phases(v: np.ndarray, converged: Sequence[bool], cfg: PerformanceConfig) -> list[str]:
+    """Operating-state label of each row of a (steps, buses) voltage matrix.
+
+    An unsolved step is a blackout; otherwise a bus outside the hard band
+    [v_lo, v_hi] makes an emergency and one outside NORMAL_BAND an alert.
+    """
+    v = np.asarray(v, float)
+    return np.select(
+        [~np.asarray(converged, bool),
+         np.any((v < cfg.v_lo) | (v > cfg.v_hi), axis=1),
+         np.any((v < NORMAL_BAND[0]) | (v > NORMAL_BAND[1]), axis=1)],
+        [PHASE_BLACKOUT, PHASE_EMERGENCY, PHASE_ALERT],
+        PHASE_NORMAL,
+    ).tolist()
+
+
 def operational_phase(v_pu: np.ndarray, converged: bool, cfg: PerformanceConfig) -> str:
     """Operating-state label from bus voltages and solver convergence."""
-    if not converged:
-        return PHASE_BLACKOUT
-    v = np.asarray(v_pu, float)
-    if np.any(v < cfg.v_lo) or np.any(v > cfg.v_hi):
-        return PHASE_EMERGENCY
-    if np.any(v < NORMAL_BAND[0]) or np.any(v > NORMAL_BAND[1]):
-        return PHASE_ALERT
-    return PHASE_NORMAL
+    return operational_phases([v_pu], [converged], cfg)[0]
 
 
 def attack_successful(world: WorldState, cfg: PerformanceConfig) -> bool:
@@ -224,6 +233,10 @@ class StepRecord:
     converged: bool
 
 
+# A StepRecord's per-bus vectors, one entry per bus of its run log.
+_BUS_VECTORS = ("v_pu", "theta_rad", "p_inj_pu", "q_inj_pu")
+
+
 @dataclass(frozen=True)
 class AgentSummary:
     agent_id: str = field(metadata={"key": "id"})
@@ -245,6 +258,17 @@ class RunLog:
     initial_converged: bool = field(metadata={"key": "initial.converged"})
     initial_p_world: float = field(metadata={"key": "initial.p_world"})
     steps: tuple[StepRecord, ...]
+
+    def __post_init__(self) -> None:
+        # Every per-bus vector has one entry per bus, so the writers and the
+        # metrics can treat a log as whole (steps, buses) arrays.
+        n_bus = len(self.initial_v_pu)
+        if (n := len(self.initial_theta_rad)) != n_bus:
+            raise ValueError(f"initial.theta_rad: expected {n_bus} values, got {n}")
+        for i, rec in enumerate(self.steps):
+            for name in _BUS_VECTORS:
+                if (n := len(getattr(rec, name))) != n_bus:
+                    raise ValueError(f"steps[{i}].{name}: expected {n_bus} values, got {n}")
 
 
 def check_asymmetry_series(

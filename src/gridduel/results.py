@@ -23,16 +23,15 @@ from .core import (
     PhaseSegment,
     RunLog,
     classify_resilience_phases,
-    operational_phase,
+    operational_phases,
 )
 from .codec import decode, encode, json_object, plain
 
 GRID_LOG_HEADER = "step,bus_id,v_pu,theta_rad,p_inj_pu,q_inj_pu"
 AGENT_LOG_HEADER = "step,agent_id,inputs,outputs,reward"
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# One row each; "%.17g" is format(x, ".17g"), applied to the Python floats of tolist().
+_GRID_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\n"
+_AGENT_ROW = "%d,%s,%s,%s,%.17g\n"
 
 
 _JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
@@ -57,15 +56,16 @@ def _write_lines(path: str | Path, pieces: Iterable[str]) -> None:
 
 def write_grid_log(log: RunLog, path: str | Path) -> None:
     """Per-step, per-bus grid state as CSV: one row per (step, bus)."""
-    rows = (f"{rec.t},{b},{_fmt(rec.v_pu[b])},{_fmt(rec.theta_rad[b])},{_fmt(rec.p_inj_pu[b])},"
-            f"{_fmt(rec.q_inj_pu[b])}\n" for rec in log.steps for b in range(len(rec.v_pu)))
+    rows = (_GRID_ROW % (rec.t, b, *cells) for rec in log.steps
+            for b, cells in enumerate(zip(rec.v_pu.tolist(), rec.theta_rad.tolist(),
+                                          rec.p_inj_pu.tolist(), rec.q_inj_pu.tolist())))
     _write_lines(path, itertools.chain([GRID_LOG_HEADER + "\n"], rows))
 
 
 def write_agent_log(log: RunLog, path: str | Path) -> None:
     """Per-turn agent record as CSV; vector cells are semicolon-joined."""
-    rows = (f"{rec.t},{rec.agent_id},{';'.join(map(_fmt, rec.x))},{';'.join(rec.y)},{_fmt(rec.reward)}\n"
-            for rec in log.steps)
+    rows = (_AGENT_ROW % (rec.t, rec.agent_id, ";".join(["%.17g" % v for v in rec.x.tolist()]),
+                          ";".join(rec.y), rec.reward) for rec in log.steps)
     _write_lines(path, itertools.chain([AGENT_LOG_HEADER + "\n"], rows))
 
 
@@ -98,9 +98,11 @@ class MetricsReport:
 def compute_metrics(log: RunLog, cfg: PerformanceConfig) -> MetricsReport:
     """Series the result figures are drawn from, one sample per global step."""
     steps = tuple(rec.t for rec in log.steps)
-    mean_voltage = tuple(float(np.mean(rec.v_pu)) for rec in log.steps)
+    # One row per step; RunLog guarantees every row has len(initial_v_pu) buses.
+    v = np.array([rec.v_pu for rec in log.steps], float).reshape(len(steps), len(log.initial_v_pu))
+    mean_voltage = tuple(np.mean(v, axis=1).tolist())
     p_world = tuple(rec.p_world for rec in log.steps)
-    phases = tuple(operational_phase(rec.v_pu, rec.converged, cfg) for rec in log.steps)
+    phases = tuple(operational_phases(v, [rec.converged for rec in log.steps], cfg))
 
     cumulative: dict[str, tuple[int, ...]] = {}
     for agent in log.agents:

@@ -284,6 +284,10 @@ VALIDATE = ["validate", "--config"]
          r"run_log\.steps\[1\]\.v_pu: expected an array of numbers"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].__setitem__(0, True)),
          r"run_log\.steps\[1\]\.v_pu: expected an array of numbers"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].pop()),
+         r"run_log: steps\[1\]\.v_pu: expected 2 values, got 1"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["theta_rad"].append(0.0)),
+         r"run_log: steps\[1\]\.theta_rad: expected 2 values, got 3"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(t="2")),
          r"run_log\.steps\[1\]\.t: expected an integer"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(y=[0])),
@@ -323,7 +327,8 @@ VALIDATE = ["validate", "--config"]
         ("metrics", ASYMMETRY, lambda doc: [doc], r"metrics: expected an object"),
     ],
     ids=["run_log_without_agents", "run_log_without_initial", "step_without_v_pu", "string_voltage",
-         "boolean_voltage", "string_step_time", "numeric_label", "nan_reward", "unknown_step_key",
+         "boolean_voltage", "short_voltage_row", "long_angle_row", "string_step_time", "numeric_label",
+         "nan_reward", "unknown_step_key",
          "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
          "unknown_schedule_key", "string_rounds", "config_duplicate_key", "plot_without_series", "plot_null_sample", "plot_nan_sample",
          "plot_steps_not_array", "plot_overflowing_range", "plot_constant_huge_series",

@@ -449,6 +449,19 @@ def test_python_built_config_is_checked(edit, message):
         edit(cfg)
 
 
+@pytest.mark.parametrize("bad_id", ["", "red,team", "red\nteam", "red\rteam"],
+                         ids=["empty", "comma", "newline", "carriage_return"])
+def test_agent_id_that_breaks_the_agent_csv_rejected(bad_id):
+    """An agent id is a cell of the agent CSV: loaded or set with `replace`, it must fit in one."""
+    message = r"agents\[0\]\.id: must be non-empty, without ','"
+    doc = poc_doc()
+    doc["agents"][0]["id"] = bad_id
+    with pytest.raises(ConfigError, match=message):
+        load_doc(doc)
+    with pytest.raises(ConfigError, match=message):
+        _with_agent(0, id=lambda a: bad_id)(load_config_path(POC))
+
+
 # -- codec property: any valid document has one canonical form -----------------------
 
 

@@ -211,9 +211,18 @@ def _one_shot_agent_log(log):
     return "\n".join(rows) + "\n"
 
 
+# Floats whose text is easy to get wrong: signed zero, NaN, infinities, the least subnormal, the largest float.
+EDGE_FLOATS = np.resize([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308], 14)
+
+
 def test_streamed_writers_match_the_one_shot_text(tmp_path, long_log):
     """Across many write batches, every writer gives the bytes of its one-shot form."""
-    report = compute_metrics(long_log, CFG)
+    edge = StepRecord(t=4001, agent_id="a", x=EDGE_FLOATS, y=("hold", "hold"), reward=5e-324, p_world=-0.0,
+                      v_pu=EDGE_FLOATS, theta_rad=EDGE_FLOATS[::-1], p_inj_pu=-EDGE_FLOATS,
+                      q_inj_pu=EDGE_FLOATS, converged=True)
+    long_log = replace(long_log, steps=(*long_log.steps, edge))
+    with np.errstate(invalid="ignore"):  # the edge step's inf and -inf mean to NaN
+        report = compute_metrics(long_log, CFG)
     for doc in (encode(long_log), metrics_doc(report, long_log)):
         assert len(list(json_pieces(doc))) > 1
     write_run_log(long_log, tmp_path / "log.json")
@@ -303,10 +312,59 @@ def test_attack_success_step_is_first_step_out_of_band(v_pu, converged, expected
     from .test_core import fake_runlog
 
     log = fake_runlog([1.0, 1.0, 1.0])
-    first, second, third = log.steps
+    two_bus = {"v_pu": np.ones(2), "theta_rad": np.zeros(2), "p_inj_pu": np.zeros(2), "q_inj_pu": np.zeros(2)}
+    first, second, third = (replace(rec, **two_bus) for rec in log.steps)
     steps = (first, replace(second, v_pu=np.array(v_pu), converged=converged), third)
-    report = compute_metrics(replace(log, steps=steps), CFG)
+    log = replace(log, initial_v_pu=np.ones(2), initial_theta_rad=np.zeros(2), steps=steps)
+    report = compute_metrics(log, CFG)
     assert report.attack_success_step == expected
+
+
+def _reference_phase(v_pu, converged, cfg):
+    """The per-step band rule, one row at a time."""
+    if not converged:
+        return "blackout"
+    if np.any(v_pu < cfg.v_lo) or np.any(v_pu > cfg.v_hi):
+        return "emergency"
+    if np.any(v_pu < 0.95) or np.any(v_pu > 1.05):
+        return "alert"
+    return "normal"
+
+
+@st.composite
+def voltage_logs(draw):
+    """A run log of 1-20 buses whose voltages sit on the band edges, off the scale or in between."""
+    n_bus = draw(st.integers(1, 20))
+    cfg = PerformanceConfig(v_lo=draw(st.floats(0.5, 0.99)), v_hi=draw(st.floats(1.01, 1.5)))
+    volt = st.one_of(st.sampled_from([cfg.v_lo, 0.95, 1.05, cfg.v_hi, np.nan, np.inf, -np.inf]),
+                     st.floats(0.0, 2.0))
+    zeros = np.zeros(n_bus)
+    steps = tuple(
+        StepRecord(t=t, agent_id="a", x=np.ones(1), y=("hold",), reward=0.0, p_world=1.0,
+                   v_pu=np.array(draw(st.lists(volt, min_size=n_bus, max_size=n_bus))), theta_rad=zeros,
+                   p_inj_pu=zeros, q_inj_pu=zeros, converged=draw(st.booleans()))
+        for t in range(1, draw(st.integers(0, 8)) + 1)
+    )
+    return RunLog(
+        config_fingerprint="x", name="bands", seed=0, rounds=len(steps), steps_per_turn=1, performance=cfg,
+        agents=(AgentSummary("a", "attacker", "qnet"),), initial_v_pu=np.ones(n_bus), initial_theta_rad=zeros,
+        initial_converged=True, initial_p_world=1.0, steps=steps,
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(log=voltage_logs())
+def test_metrics_match_the_per_step_rule(log):
+    """The whole-matrix metrics equal a per-step mean and band rule, bit for bit."""
+    cfg = log.performance
+    with np.errstate(invalid="ignore"):  # inf and -inf on one row mean to NaN
+        report = compute_metrics(log, cfg)
+        mean_voltage = [float(np.mean(rec.v_pu)) for rec in log.steps]
+    phases = [_reference_phase(rec.v_pu, rec.converged, cfg) for rec in log.steps]
+    assert np.array(report.mean_voltage, float).tobytes() == np.array(mean_voltage, float).tobytes()
+    assert report.operational_phase == tuple(phases)
+    assert report.attack_success_step == next(
+        (rec.t for rec, phase in zip(log.steps, phases) if phase in ("emergency", "blackout")), None)
 
 
 def test_mean_voltage_matches_recorded_buses(short_run):
