@@ -50,6 +50,8 @@ class RewardParams:
     agent_class: str = DEFENDER
 
     def __post_init__(self) -> None:
+        if not (self.mu > 0 and self.mu * self.mu < math.inf):  # reward squares x_mean - mu
+            raise ValueError("mu must be > 0, with mu**2 finite")
         if not usable_sigma(self.sigma):
             raise ValueError("sigma must be > 0, with sigma**2 finite and > 0")
         if not 0.0 < self.c < 1.0:
@@ -404,9 +406,6 @@ class QTable:
 
     def __init__(self, n_states: int, group_sizes: tuple[int, ...]):
         self.tables = [np.zeros((n_states, size)) for size in group_sizes]
-
-    def greedy(self, state: int) -> tuple[int, ...]:
-        return tuple(int(np.argmax(t[state])) for t in self.tables)
 
     def select(self, state: int, epsilon: float, rng: np.random.Generator) -> tuple[int, ...]:
         return epsilon_greedy([t[state] for t in self.tables], epsilon, rng)

@@ -21,7 +21,6 @@ from .agents import TrainingDiverged
 from .codec import ConfigError, as_dict, as_list, json_object, numbers, pop, read_float, read_int
 from .config import load_config_path
 from .core import check_asymmetry_series, run_experiment
-from .grid import ModelValidationError
 from .powerflow import solve_newton_raphson
 from .results import (
     compute_metrics,
@@ -213,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
         return _COMMANDS[args.command](args)
-    except (ConfigError, ModelValidationError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (OSError, TrainingDiverged) as e:

@@ -37,7 +37,7 @@ from .agents import (
 from .codec import (READERS, WRITERS, ConfigError, as_dict, as_list, decode, done, encode, json_object,
                     plain, pop, read_float, read_int, read_str)
 from .core import PerformanceConfig, V_QUANTITY
-from .grid import GridModel, ModelValidationError, arl_poc_grid
+from .grid import GridModel, arl_poc_grid
 
 QNET = "qnet"
 TABULAR = "tabular"
@@ -59,8 +59,9 @@ class OutputPaths:
     run_log_path: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("grid_log_path", "agent_log_path", "metrics_path"):
-            if not getattr(self, name):
+        for name in ("grid_log_path", "agent_log_path", "metrics_path", "run_log_path"):
+            value = getattr(self, name)
+            if not value and not (value is None and name == "run_log_path"):  # None: no run log
                 raise ConfigError(f"outputs.{name}: must not be empty")
 
 
@@ -123,10 +124,7 @@ class ExperimentConfig:
             raise ConfigError("schedule.steps_per_turn: must be >= 1")
         if isinstance(self.grid_source, str) and self.grid_source not in GRID_BUILDERS:
             raise ConfigError(f"grid: unknown grid token {self.grid_source!r}")
-        try:
-            grid = self.build_grid().validate()
-        except ModelValidationError as e:
-            raise ConfigError(f"grid: {e}") from e
+        grid = self.build_grid()  # a GridModel checks itself when built
 
         ids_seen: set[str] = set()
         for i, spec in enumerate(self.agents):

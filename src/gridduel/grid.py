@@ -3,12 +3,16 @@
 The grid is a plain bus/branch description on a single system MVA base:
 buses (one slack, the rest PQ or PV), lines, tap-changing two-winding
 transformers, PQ generators (modelled as negative loads) and scalable loads.
-A :class:`GridModel` is immutable after :meth:`GridModel.validate`; actuator
-changes go through the ``with_*`` copy helpers.
+A :class:`GridModel` is checked once, when it is built: the constructor, the
+JSON decoder and ``dataclasses.replace`` all run :meth:`GridModel.validate`,
+and the solver never checks it again.  Actuator moves go through the ``with_*``
+copy helpers, which clamp one device inside limits the grid already holds, so
+their copies skip the re-check.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,12 +104,11 @@ class GridModel:
     def n_bus(self) -> int:
         return len(self.buses)
 
-    @property
-    def slack_index(self) -> int:
-        return next(i for i, b in enumerate(self.buses) if b.kind == SLACK)
+    def __post_init__(self) -> None:
+        self.validate()
 
-    def validate(self) -> GridModel:
-        """Check all structural invariants; return self so calls can chain."""
+    def validate(self) -> None:
+        """Check all structural invariants; raise ModelValidationError on the first broken one."""
         if self.s_base_mva <= 0:
             raise ModelValidationError("s_base_mva must be > 0")
         n = len(self.buses)
@@ -168,7 +171,6 @@ class GridModel:
             if not ld.scaling_min <= ld.scaling <= ld.scaling_max:
                 raise ModelValidationError(f"loads[{i}]: scaling outside bounds")
         self._check_connected()
-        return self
 
     def _check_endpoints(self, kind: str, i: int, f: int, t: int, n: int) -> None:
         if f == t:
@@ -198,27 +200,36 @@ class GridModel:
 
     # -- copy-and-modify actuator helpers ------------------------------------
 
+    def _with_device(self, kind: str, index: int, change) -> GridModel:
+        """Copy with ``change(device)`` at ``index`` of ``kind``, unchecked: callers only clamp."""
+        devices = getattr(self, kind)
+        if not 0 <= index < len(devices):
+            raise IndexError(f"{kind}[{index}] does not exist")
+        new = copy.copy(self)
+        object.__setattr__(new, kind, devices[:index] + (change(devices[index]),) + devices[index + 1 :])
+        return new
+
     def with_tap(self, index: int, tap_pos: int) -> GridModel:
         """Copy with transformer ``index`` moved to ``tap_pos`` (clamped)."""
-        tr = self.transformers[index]
-        pos = min(max(tap_pos, tr.tap_min), tr.tap_max)
-        new = self.transformers[:index] + (replace(tr, tap_pos=pos),) + self.transformers[index + 1 :]
-        return replace(self, transformers=new)
+        return self._with_device("transformers", index, lambda tr: replace(
+            tr, tap_pos=_clamp(tap_pos, tr.tap_min, tr.tap_max)))
 
     def with_generator_setpoint(self, index: int, p_mw: float, q_mvar: float) -> GridModel:
         """Copy with generator ``index`` at the given setpoint (clamped to limits)."""
-        g = self.generators[index]
-        p = min(max(p_mw, g.p_min_mw), g.p_max_mw)
-        q = min(max(q_mvar, g.q_min_mvar), g.q_max_mvar)
-        new = self.generators[:index] + (replace(g, p_mw=p, q_mvar=q),) + self.generators[index + 1 :]
-        return replace(self, generators=new)
+        return self._with_device("generators", index, lambda g: replace(
+            g, p_mw=_clamp(p_mw, g.p_min_mw, g.p_max_mw), q_mvar=_clamp(q_mvar, g.q_min_mvar, g.q_max_mvar)))
 
     def with_load_scaling(self, index: int, scaling: float) -> GridModel:
         """Copy with load ``index`` at the given scaling factor (clamped)."""
-        ld = self.loads[index]
-        s = min(max(scaling, ld.scaling_min), ld.scaling_max)
-        new = self.loads[:index] + (replace(ld, scaling=s),) + self.loads[index + 1 :]
-        return replace(self, loads=new)
+        return self._with_device("loads", index, lambda ld: replace(
+            ld, scaling=_clamp(scaling, ld.scaling_min, ld.scaling_max)))
+
+
+def _clamp(value: float, lo: float, hi: float) -> float:
+    """value limited to [lo, hi]; NaN, which no limit can hold, raises."""
+    if value != value:  # NaN; math.isnan would also reject an int too large for a float
+        raise ValueError("actuator target must not be NaN")
+    return min(max(value, lo), hi)
 
 
 def build_admittance_matrix(grid: GridModel) -> np.ndarray:
@@ -229,7 +240,6 @@ def build_admittance_matrix(grid: GridModel) -> np.ndarray:
     off-nominal ratio ``a`` on the from (HV) side: off-diagonals are divided
     by ``a``, the from-side diagonal by ``a**2``.
     """
-    grid.validate()
     n = grid.n_bus
     y = np.zeros((n, n), dtype=complex)
     for ln in grid.lines:
@@ -302,4 +312,4 @@ def arl_poc_grid() -> GridModel:
         transformers=tuple(transformers),
         generators=tuple(generators),
         loads=tuple(loads),
-    ).validate()
+    )

@@ -183,17 +183,3 @@ def solve_newton_raphson(
         mismatch_history=tuple(history),
     )
 
-
-def total_branch_loss_pu(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> float:
-    """I^2 R losses summed over all branches, in per-unit."""
-    vc = np.asarray(v_pu, float) * np.exp(1j * np.asarray(theta_rad, float))
-    loss = 0.0
-    for ln in grid.lines:
-        ys = 1.0 / complex(ln.r_pu, ln.x_pu)
-        i_series = (vc[ln.from_bus] - vc[ln.to_bus]) * ys
-        loss += (abs(i_series) ** 2) * ln.r_pu
-    for tr in grid.transformers:
-        ys = 1.0 / complex(tr.r_pu, tr.x_pu)
-        i_series = (vc[tr.from_bus] / tr.ratio - vc[tr.to_bus]) * ys
-        loss += (abs(i_series) ** 2) * tr.r_pu
-    return loss

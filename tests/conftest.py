@@ -28,14 +28,14 @@ def two_bus_grid(p_load_mw: float = 5.0, r_pu: float = 0.0) -> GridModel:
         buses=(Bus(0, "slack", 110.0, v_setpoint_pu=1.0), Bus(1, "pq", 110.0)),
         lines=(Line(0, 1, r_pu=r_pu, x_pu=0.1),),
         loads=(Load(1, p_mw=p_load_mw, q_mvar=0.0),),
-    ).validate()
+    )
 
 
 def zero_load_grid(n_bus: int = 3) -> GridModel:
     buses = [Bus(0, "slack", 110.0, v_setpoint_pu=1.0)]
     buses += [Bus(i, "pq", 110.0) for i in range(1, n_bus)]
     lines = tuple(Line(i, i + 1, r_pu=0.01, x_pu=0.05) for i in range(n_bus - 1))
-    return GridModel(s_base_mva=10.0, buses=tuple(buses), lines=lines).validate()
+    return GridModel(s_base_mva=10.0, buses=tuple(buses), lines=lines)
 
 
 def pv_grid() -> GridModel:
@@ -61,7 +61,7 @@ def pv_grid() -> GridModel:
                               q_min_mvar=-0.3, q_max_mvar=0.3),),
         loads=(Load(1, p_mw=1.0, q_mvar=0.2, scaling_min=0.5, scaling_max=1.5),
                Load(3, p_mw=0.4, q_mvar=0.1, scaling_min=0.5, scaling_max=1.5)),
-    ).validate()
+    )
 
 
 def cli_env(**extra: str) -> dict[str, str]:

@@ -138,7 +138,7 @@ def test_criterion_3_learner_sanity():
         nxt, r = _chain_step(state, action)
         table.update(state, (action,), r, nxt, alpha=0.5, gamma=0.9)
         state = nxt
-    greedy = [table.greedy(s)[0] for s in range(3)]
+    greedy = [int(np.argmax(table.tables[0][s])) for s in range(3)]
     assert greedy == optimal
 
     ok(3, f"TD gradients match FD (worst rel err {worst:.2e}, 10 seeds); "

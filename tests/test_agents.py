@@ -387,7 +387,7 @@ def test_tabular_agent_recovers_value_iteration_policy():
         nxt, r = _chain_step(state, action)
         table.update(state, (action,), r, nxt, alpha=0.5, gamma=0.9)
         state = nxt
-    greedy = [table.greedy(s)[0] for s in range(3)]
+    greedy = [int(np.argmax(table.tables[0][s])) for s in range(3)]
     assert greedy == list(optimal)
     assert greedy == [1, 1, 1]
 

@@ -26,7 +26,7 @@ from gridduel.core import (
     run_experiment,
     system_performance,
 )
-from gridduel.grid import arl_poc_grid
+from gridduel.grid import GridModel, arl_poc_grid
 from gridduel.powerflow import PowerFlowSolution, solve_newton_raphson
 
 from .conftest import experiment_config, two_bus_grid, zero_load_grid
@@ -423,6 +423,25 @@ def test_recorded_steps_replay_bit_identically():
         assert world.t == rec.t
         assert world.solution.v_pu.tobytes() == rec.v_pu.tobytes()
         assert world.solution.theta_rad.tobytes() == rec.theta_rad.tobytes()
+
+
+def test_a_run_checks_its_grid_a_constant_number_of_times(monkeypatch):
+    """A grid is checked where it is built; no solve or actuator move checks it again."""
+    calls = []
+    check = GridModel.validate
+
+    def counting_check(grid):
+        calls.append(grid)
+        check(grid)
+
+    monkeypatch.setattr(GridModel, "validate", counting_check)
+    counts = {}
+    for rounds in (1, 20):
+        cfg = experiment_config(rounds=rounds, learner="tabular")
+        calls.clear()
+        assert len(run_experiment(cfg).steps) == 2 * rounds
+        counts[rounds] = len(calls)
+    assert counts[1] == counts[20] >= 1
 
 
 def test_lone_attacker_run_is_supported():

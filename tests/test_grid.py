@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridduel.config import ExperimentConfig, load_config, save_config
 from gridduel.grid import (
@@ -10,10 +13,11 @@ from gridduel.grid import (
     GridModel,
     Line,
     ModelValidationError,
+    arl_poc_grid,
     build_admittance_matrix,
 )
 
-from .conftest import two_bus_grid
+from .conftest import pv_grid, two_bus_grid
 
 
 def test_single_branch_admittance_closed_form():
@@ -21,7 +25,7 @@ def test_single_branch_admittance_closed_form():
         s_base_mva=10.0,
         buses=(Bus(0, "slack", 110.0, 1.0), Bus(1, "pq", 110.0)),
         lines=(Line(0, 1, r_pu=0.0, x_pu=0.1),),
-    ).validate()
+    )
     y = build_admittance_matrix(grid)
     expected = np.array([[-10j, 10j], [10j, -10j]])
     assert np.array_equal(y, expected)
@@ -46,7 +50,7 @@ def test_tap_move_changes_only_its_bus_pair(poc_grid):
         + poc_grid.transformers[3:],
         generators=poc_grid.generators,
         loads=poc_grid.loads,
-    ).validate()
+    )
     y1 = build_admittance_matrix(moved)
     assert np.array_equal(y1, build_admittance_matrix(rebuilt))
 
@@ -71,23 +75,21 @@ def test_admittance_symmetry_with_and_without_taps(poc_grid):
 
 
 def test_zero_impedance_branch_rejected():
-    grid = GridModel(
-        s_base_mva=10.0,
-        buses=(Bus(0, "slack", 110.0, 1.0), Bus(1, "pq", 110.0)),
-        lines=(Line(0, 1, r_pu=0.0, x_pu=0.0),),
-    )
     with pytest.raises(ModelValidationError, match="zero-impedance"):
-        grid.validate()
+        GridModel(
+            s_base_mva=10.0,
+            buses=(Bus(0, "slack", 110.0, 1.0), Bus(1, "pq", 110.0)),
+            lines=(Line(0, 1, r_pu=0.0, x_pu=0.0),),
+        )
 
 
 def test_disconnected_graph_rejected():
-    grid = GridModel(
-        s_base_mva=10.0,
-        buses=(Bus(0, "slack", 110.0, 1.0), Bus(1, "pq", 110.0), Bus(2, "pq", 110.0)),
-        lines=(Line(0, 1, r_pu=0.01, x_pu=0.05),),
-    )
     with pytest.raises(ModelValidationError, match="not connected"):
-        grid.validate()
+        GridModel(
+            s_base_mva=10.0,
+            buses=(Bus(0, "slack", 110.0, 1.0), Bus(1, "pq", 110.0), Bus(2, "pq", 110.0)),
+            lines=(Line(0, 1, r_pu=0.01, x_pu=0.05),),
+        )
 
 
 @pytest.mark.parametrize(
@@ -103,22 +105,25 @@ def test_disconnected_graph_rejected():
         (lambda g: dataclasses.replace(
             g, transformers=(dataclasses.replace(g.transformers[0], tap_pos=10),) + g.transformers[1:]),
          "tap_pos"),
+        (lambda g: dataclasses.replace(
+            g, lines=(dataclasses.replace(g.lines[0], r_pu=0.0, x_pu=0.0),) + g.lines[1:]),
+         "zero-impedance"),
     ],
 )
 def test_validation_rejections(poc_grid, mutate, message):
+    """`dataclasses.replace` builds its copy through the checking constructor."""
     with pytest.raises(ModelValidationError, match=message):
-        mutate(poc_grid).validate()
+        mutate(poc_grid)
 
 
 def test_generator_must_sit_on_pq_bus():
-    grid = GridModel(
-        s_base_mva=10.0,
-        buses=(Bus(0, "slack", 110.0, 1.0), Bus(1, "pq", 110.0)),
-        lines=(Line(0, 1, r_pu=0.01, x_pu=0.05),),
-        generators=(Generator(0, 0.5, 0.0, 0.0, 1.0, -0.3, 0.3),),
-    )
     with pytest.raises(ModelValidationError, match="pq bus"):
-        grid.validate()
+        GridModel(
+            s_base_mva=10.0,
+            buses=(Bus(0, "slack", 110.0, 1.0), Bus(1, "pq", 110.0)),
+            lines=(Line(0, 1, r_pu=0.01, x_pu=0.05),),
+            generators=(Generator(0, 0.5, 0.0, 0.0, 1.0, -0.3, 0.3),),
+        )
 
 
 def test_poc_grid_counts(poc_grid):
@@ -153,6 +158,56 @@ def test_copy_helpers_do_not_mutate_source(poc_grid):
     before = poc_grid.transformers[0].tap_pos
     poc_grid.with_tap(0, 5)
     assert poc_grid.transformers[0].tap_pos == before
+
+
+@pytest.mark.parametrize("index", [-1, 6, 99])
+def test_copy_helpers_reject_a_missing_device(poc_grid, index):
+    # A negative index would otherwise splice the tuple into 12 transformers.
+    with pytest.raises(IndexError, match=rf"transformers\[{index}\] does not exist"):
+        poc_grid.with_tap(index, 3)
+    with pytest.raises(IndexError, match="loads"):
+        poc_grid.with_load_scaling(index, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: g.with_tap(0, math.nan),
+    lambda g: g.with_generator_setpoint(0, 0.5, math.nan),
+    lambda g: g.with_generator_setpoint(0, math.nan, 0.0),
+    lambda g: g.with_load_scaling(0, math.nan),
+], ids=["tap", "generator_q", "generator_p", "load"])
+def test_copy_helpers_reject_a_nan_target(poc_grid, call):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        call(poc_grid)
+
+
+# Helper name -> (device tuple it changes, number of target values it takes).
+_HELPERS = {"with_tap": ("transformers", 1), "with_generator_setpoint": ("generators", 2),
+            "with_load_scaling": ("loads", 1)}
+_TARGETS = st.floats() | st.sampled_from([math.inf, -math.inf, 1e308, -1e308, -0.0]) | st.integers(-2**70, 2**70)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(base=st.sampled_from([arl_poc_grid, pv_grid]),
+       calls=st.lists(st.tuples(st.sampled_from(sorted(_HELPERS)), st.integers() | st.integers(-1, 6),
+                                st.lists(_TARGETS, min_size=2, max_size=2)), max_size=8))
+def test_copy_helpers_keep_every_invariant(base, calls):
+    """The with_* copies skip the constructor's check, so each must keep every invariant itself."""
+    grid = base()
+    for name, index, targets in calls:
+        kind, arity = _HELPERS[name]
+        targets = targets[:arity]
+        helper = getattr(grid, name)
+        if not 0 <= index < len(getattr(grid, kind)):
+            with pytest.raises(IndexError):
+                helper(index, *targets)
+        elif any(math.isnan(v) for v in targets):
+            with pytest.raises(ValueError):
+                helper(index, *targets)
+        else:
+            new = helper(index, *targets)
+            rebuilt = GridModel(**{f.name: getattr(new, f.name) for f in dataclasses.fields(GridModel)})
+            assert new == rebuilt
+            grid = new
 
 
 def test_grid_serialization_round_trip(poc_grid):

@@ -9,7 +9,6 @@ from gridduel.powerflow import (
     compute_jacobian,
     compute_mismatch,
     solve_newton_raphson,
-    total_branch_loss_pu,
 )
 
 from .conftest import TWO_BUS_THETA2, TWO_BUS_V2, pv_grid, two_bus_grid, zero_load_grid
@@ -31,6 +30,21 @@ def mismatch_oracle(grid, v, theta):
     non_slack = [bus.id for bus in grid.buses if bus.kind != "slack"]
     pq = [bus.id for bus in grid.buses if bus.kind == "pq"]
     return np.concatenate([(p_s - p_calc)[non_slack], (q_s - q_calc)[pq]])
+
+
+def total_branch_loss_pu(grid, v_pu, theta_rad):
+    """I^2 R losses summed over all branches, in per-unit."""
+    vc = np.asarray(v_pu, float) * np.exp(1j * np.asarray(theta_rad, float))
+    loss = 0.0
+    for ln in grid.lines:
+        ys = 1.0 / complex(ln.r_pu, ln.x_pu)
+        i_series = (vc[ln.from_bus] - vc[ln.to_bus]) * ys
+        loss += (abs(i_series) ** 2) * ln.r_pu
+    for tr in grid.transformers:
+        ys = 1.0 / complex(tr.r_pu, tr.x_pu)
+        i_series = (vc[tr.from_bus] / tr.ratio - vc[tr.to_bus]) * ys
+        loss += (abs(i_series) ** 2) * tr.r_pu
+    return loss
 
 
 def fd_jacobian(grid, v, theta, h=1e-6):
@@ -99,7 +113,7 @@ def random_operating_point(grid, rng):
         g = g.with_load_scaling(i, float(rng.uniform(ld.scaling_min, ld.scaling_max)))
     v = 1.0 + rng.uniform(-0.08, 0.08, size=g.n_bus)
     theta = rng.uniform(-0.15, 0.15, size=g.n_bus)
-    theta[g.slack_index] = 0.0
+    theta[[b.kind == "slack" for b in g.buses]] = 0.0
     return g, v, theta
 
 
