@@ -23,9 +23,7 @@ ATTACKER = "attacker"
 DEFENDER = "defender"
 HOLD = "hold"
 
-# Zero-reward boundary at 5 % mean-voltage deviation for the default width.
 DEFAULT_SIGMA = 0.03
-DEFAULT_C = math.exp(-(0.05**2) / (2.0 * DEFAULT_SIGMA**2))
 
 
 class TrainingDiverged(RuntimeError):
@@ -37,6 +35,10 @@ def boundary_offset(sigma: float, deviation: float = 0.05) -> float:
     return math.exp(-(deviation**2) / (2.0 * sigma**2))
 
 
+# Zero-reward boundary at 5 % mean-voltage deviation for the default width.
+DEFAULT_C = boundary_offset(DEFAULT_SIGMA)
+
+
 def usable_sigma(sigma: float) -> bool:
     """A bell width the reward can divide by: positive, its square neither 0 nor infinite."""
     return sigma > 0 and 0 < sigma * sigma < math.inf  # float ** raises on overflow, * gives inf
@@ -44,9 +46,11 @@ def usable_sigma(sigma: float) -> bool:
 
 @dataclass(frozen=True)
 class RewardParams:
+    """Reward curve of one agent; ``c`` left out puts the zero crossing at 5 % deviation for ``sigma``."""
+
     mu: float = 1.0
     sigma: float = DEFAULT_SIGMA
-    c: float = DEFAULT_C
+    c: float = None
     agent_class: str = DEFENDER
 
     def __post_init__(self) -> None:
@@ -54,6 +58,10 @@ class RewardParams:
             raise ValueError("mu must be > 0, with mu**2 finite")
         if not usable_sigma(self.sigma):
             raise ValueError("sigma must be > 0, with sigma**2 finite and > 0")
+        if self.c is None:
+            object.__setattr__(self, "c", boundary_offset(self.sigma))
+            if not 0.0 < self.c < 1.0:
+                raise ValueError(f"sigma gives a default c of {self.c!r}, outside (0, 1); give 'c' explicitly")
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must be in (0, 1)")
         if self.agent_class not in (ATTACKER, DEFENDER):
@@ -144,17 +152,18 @@ def init_qnetwork(
     )
 
 
-def _forward_flat(net: QNetwork, x: np.ndarray) -> np.ndarray:
-    """Feed-forward on a batch (rows are inputs); returns (batch, labels of all groups)."""
+def _forward_flat(net: QNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feed-forward on a batch (rows are inputs); returns the hidden layer and the
+    (batch, labels of all groups) Q-values."""
     if x.shape[-1] != net.n_in:
         raise ValueError(f"input has {x.shape[-1]} features, network expects {net.n_in}")
     hidden = np.tanh(x @ net.w1.T + net.b1)
-    return hidden @ net.w2.T + net.b2
+    return hidden, hidden @ net.w2.T + net.b2
 
 
 def forward(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
     """Q-values for one input, split into one array per action group."""
-    q = _forward_flat(net, np.asarray(x, dtype=float).reshape(1, -1))[0]
+    q = _forward_flat(net, np.asarray(x, dtype=float).reshape(1, -1))[1][0]
     offs = net.group_offsets()
     return [q[offs[i] : offs[i + 1]] for i in range(len(net.group_sizes))]
 
@@ -196,7 +205,7 @@ class Transition:
 def td_targets(net: QNetwork, batch: list[Transition], gamma: float) -> np.ndarray:
     """One-step targets r + gamma * max_a' Q(x', a') per transition and group."""
     x_next = np.stack([t.x_next for t in batch])
-    q_next = _forward_flat(net, x_next)
+    q_next = _forward_flat(net, x_next)[1]
     offs = net.group_offsets()
     rewards = np.array([t.reward for t in batch])
     targets = np.empty((len(batch), len(net.group_sizes)))
@@ -221,9 +230,7 @@ def td_loss_and_grads(
     rows = np.arange(n_batch)[:, None]
     cols = np.array(net.group_offsets()[:-1]) + np.array([t.actions for t in batch])
 
-    hidden = np.tanh(x @ net.w1.T + net.b1)
-    q = hidden @ net.w2.T + net.b2
-
+    hidden, q = _forward_flat(net, x)
     diff = q[rows, cols] - targets
     dloss_dq = np.zeros_like(q)
     dloss_dq[rows, cols] += 2.0 * diff  # each (b, col) once: 0.0 + 2 diff, as a loop would

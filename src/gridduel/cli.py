@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .agents import TrainingDiverged
-from .codec import ConfigError, as_dict, as_list, json_object, numbers, pop, read_float, read_int
+from .codec import ConfigError, as_dict, as_list, json_object, json_pieces, numbers, pop, read_float, read_int
 from .config import load_config_path
 from .core import check_asymmetry_series, run_experiment
 from .powerflow import solve_newton_raphson
 from .results import (
     compute_metrics,
     emit_plot,
-    json_pieces,
     metrics_doc,
     read_run_log,
     write_agent_log,

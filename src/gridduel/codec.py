@@ -1,4 +1,4 @@
-"""Strict JSON readers and the field-driven codec every document goes through.
+"""Strict JSON readers, the field-driven codec and the JSON text every document goes through.
 
 ``decode`` builds a dataclass from a JSON object and ``encode`` writes it
 back.  A key is a field's name or its ``key`` metadata (``"class"``, or
@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import typing
@@ -205,3 +206,14 @@ def plain(value):
     if dataclasses.is_dataclass(value):
         return WRITERS.get(type(value), encode)(value)
     return value
+
+
+_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
+_BATCH = 4096  # JSON chunks, a few bytes each, joined per piece
+
+
+def json_pieces(doc) -> typing.Iterator[str]:
+    """The text of json.dumps(doc, indent=2, ensure_ascii=False) + "\n", _BATCH chunks a piece."""
+    chunks = itertools.chain(_JSON.iterencode(doc), ["\n"])
+    while batch := list(itertools.islice(chunks, _BATCH)):
+        yield "".join(batch)

@@ -16,7 +16,6 @@ reader and writer, and the grid (a builder token or an inline model) its reader.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,11 +30,9 @@ from .agents import (
     RewardParams,
     TabularHyper,
     TabularQAgent,
-    boundary_offset,
-    usable_sigma,
 )
 from .codec import (READERS, WRITERS, ConfigError, as_dict, as_list, decode, done, encode, json_object,
-                    plain, pop, read_float, read_int, read_str)
+                    json_pieces, plain, pop, read_int, read_str)
 from .core import PerformanceConfig, V_QUANTITY
 from .grid import GridModel, arl_poc_grid
 
@@ -209,15 +206,7 @@ def _parse_agent(raw, ctx: str) -> AgentSpec:
             raise ConfigError(f"{c}.labels: invalid for kind {ref.kind!r}, expected {expected}")
         actuators.append(ref)
 
-    c = f"{ctx}.reward"
-    rd = as_dict(d.pop("reward", {}), c)
-    if "c" not in rd:  # by default the reward crosses zero at 5 % deviation for this sigma
-        sigma = read_float(rd.get("sigma", agents_mod.DEFAULT_SIGMA), f"{c}.sigma")
-        rd["c"] = boundary_offset(sigma) if usable_sigma(sigma) else agents_mod.DEFAULT_C
-        if not 0.0 < rd["c"] < 1.0:
-            raise ConfigError(f"{c}.sigma: gives a default c of {rd['c']!r}, outside (0, 1); "
-                              "give 'c' explicitly")
-    reward_params = decode(RewardParams, rd, c, agent_class=agent_class)
+    reward_params = decode(RewardParams, d.pop("reward", {}), f"{ctx}.reward", agent_class=agent_class)
 
     c = f"{ctx}.learner"
     ld = as_dict(d.pop("learner", {}), c)
@@ -256,7 +245,7 @@ WRITERS[AgentSpec] = _agent_doc
 
 def save_config(cfg: ExperimentConfig) -> str:
     """Canonical UTF-8 JSON text for a config; loading it reproduces cfg exactly."""
-    return json.dumps(encode(cfg), indent=2, ensure_ascii=False) + "\n"
+    return "".join(json_pieces(encode(cfg)))
 
 
 def load_config_path(path: str | Path) -> ExperimentConfig:

@@ -45,6 +45,8 @@ PHASE_NORMAL = "normal"
 PHASE_ALERT = "alert"
 PHASE_EMERGENCY = "emergency"
 PHASE_BLACKOUT = "blackout"
+# The operating phases in which an attack has succeeded: a hard limit broken or no solution.
+ATTACK_PHASES = (PHASE_EMERGENCY, PHASE_BLACKOUT)
 
 PLAN = "plan"
 ABSORB = "absorb"
@@ -162,8 +164,7 @@ def operational_phase(v_pu: np.ndarray, converged: bool, cfg: PerformanceConfig)
 
 def attack_successful(world: WorldState, cfg: PerformanceConfig) -> bool:
     """True when any hard voltage limit is broken or the grid cannot be solved."""
-    phase = operational_phase(world.solution.v_pu, world.solution.converged, cfg)
-    return phase in (PHASE_EMERGENCY, PHASE_BLACKOUT)
+    return operational_phase(world.solution.v_pu, world.solution.converged, cfg) in ATTACK_PHASES
 
 
 class PhaseSegment(NamedTuple):

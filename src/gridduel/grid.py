@@ -13,6 +13,7 @@ their copies skip the re-check.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -144,6 +145,8 @@ class GridModel:
             self._check_endpoints("transformers", i, tr.from_bus, tr.to_bus, n)
             if tr.r_pu == 0.0 and tr.x_pu == 0.0:
                 raise ModelValidationError(f"transformers[{i}]: zero-impedance branch")
+            if not all(type(pos) is int for pos in (tr.tap_pos, tr.tap_min, tr.tap_max)):
+                raise ModelValidationError(f"transformers[{i}]: tap_pos, tap_min and tap_max must be integers")
             if not tr.tap_min <= tr.tap_pos <= tr.tap_max:
                 raise ModelValidationError(
                     f"transformers[{i}]: tap_pos {tr.tap_pos} outside "
@@ -210,9 +213,9 @@ class GridModel:
         return new
 
     def with_tap(self, index: int, tap_pos: int) -> GridModel:
-        """Copy with transformer ``index`` moved to ``tap_pos`` (clamped)."""
+        """Copy with transformer ``index`` moved to ``tap_pos`` (clamped); a non-integer raises TypeError."""
         return self._with_device("transformers", index, lambda tr: replace(
-            tr, tap_pos=_clamp(tap_pos, tr.tap_min, tr.tap_max)))
+            tr, tap_pos=_clamp(operator.index(tap_pos), tr.tap_min, tr.tap_max)))
 
     def with_generator_setpoint(self, index: int, p_mw: float, q_mvar: float) -> GridModel:
         """Copy with generator ``index`` at the given setpoint (clamped to limits)."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import PQ, SLACK, GridModel, build_admittance_matrix, scheduled_injections_pu
 
-DEFAULT_TOL = 1e-8
+TOL = 1e-8  # converged when every |mismatch| is at most this, in per-unit
 DEFAULT_MAX_ITER = 20
 
 
@@ -31,7 +31,6 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch_pu: float
     failure_cause: str | None = None
-    mismatch_history: tuple[float, ...] = ()
 
 
 def _unknowns(grid: GridModel) -> np.ndarray:
@@ -95,19 +94,23 @@ def _jacobian(
     return np.negative(jac, out=jac)
 
 
+def _setup(grid: GridModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The admittance matrix, the stacked scheduled [P; Q] and the unknowns' positions of a grid."""
+    return build_admittance_matrix(grid), np.concatenate(scheduled_injections_pu(grid)), _unknowns(grid)
+
+
 def compute_mismatch(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> np.ndarray:
     """Residual vector [dP at non-slack buses; dQ at pq buses] in per-unit."""
-    ybus = build_admittance_matrix(grid)
-    sched = np.concatenate(scheduled_injections_pu(grid))
+    ybus, sched, unknowns = _setup(grid)
     s_calc = _evaluate(ybus, np.asarray(v_pu, float), np.asarray(theta_rad, float))[3]
-    return _mismatch(sched, s_calc, _unknowns(grid))
+    return _mismatch(sched, s_calc, unknowns)
 
 
 def compute_jacobian(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> np.ndarray:
     """Analytic derivative of :func:`compute_mismatch` w.r.t. the solver state."""
-    ybus = build_admittance_matrix(grid)
+    ybus, _, unknowns = _setup(grid)
     unit, vc, ibus, _ = _evaluate(ybus, np.asarray(v_pu, float), np.asarray(theta_rad, float))
-    return _jacobian(ybus, unit, vc, ibus, _unknowns(grid))
+    return _jacobian(ybus, unit, vc, ibus, unknowns)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -115,32 +118,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def solve_newton_raphson(
-    grid: GridModel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> PowerFlowSolution:
+def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:
     """Solve the AC power flow from a flat start.
 
     ``iterations`` counts mismatch evaluations; at most ``max_iter`` Newton
     steps are taken between them.  Singular Jacobians and diverging iterates
     yield a non-converged solution carrying the last finite operating point.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    ybus = build_admittance_matrix(grid)
-    sched = np.concatenate(scheduled_injections_pu(grid))
-    unknowns = _unknowns(grid)
+    ybus, sched, unknowns = _setup(grid)
     n = grid.n_bus
 
     x = _flat_start(grid)
-    converged = False
     failure: str | None = None
-    max_mis = 0.0
     evaluations = 0
-    history: list[float] = []
     while True:
         # Every exit below leaves x as the point evaluated here, so s_calc is
         # the returned solution's injections.
@@ -148,12 +140,10 @@ def solve_newton_raphson(
         mis = _mismatch(sched, s_calc, unknowns)
         evaluations += 1
         max_mis = float(np.abs(mis).max()) if mis.size else 0.0
-        history.append(max_mis)
         if not np.isfinite(max_mis):
             failure = "diverged"
             break
-        if max_mis <= tol:
-            converged = True
+        if max_mis <= TOL:
             break
         if evaluations > max_iter:
             failure = "max_iter"
@@ -176,10 +166,9 @@ def solve_newton_raphson(
         theta_rad=_freeze(x[:n].copy()),
         p_inj_pu=_freeze(s_calc.real.copy()),
         q_inj_pu=_freeze(s_calc.imag.copy()),
-        converged=converged,
+        converged=failure is None,
         iterations=evaluations,
         max_mismatch_pu=max_mis,
         failure_cause=failure,
-        mismatch_history=tuple(history),
     )
 

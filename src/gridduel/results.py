@@ -8,41 +8,28 @@ LF line endings.  Re-running a log's config regenerates identical files.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import (
-    PHASE_BLACKOUT,
-    PHASE_EMERGENCY,
+    ATTACK_PHASES,
     PerformanceConfig,
     PhaseSegment,
     RunLog,
     classify_resilience_phases,
     operational_phases,
 )
-from .codec import decode, encode, json_object, plain
+from .codec import decode, encode, json_object, json_pieces, plain
 
 GRID_LOG_HEADER = "step,bus_id,v_pu,theta_rad,p_inj_pu,q_inj_pu"
 AGENT_LOG_HEADER = "step,agent_id,inputs,outputs,reward"
 # One row each; "%.17g" is format(x, ".17g"), applied to the Python floats of tolist().
 _GRID_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g\n"
 _AGENT_ROW = "%d,%s,%s,%s,%.17g\n"
-
-
-_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
-_BATCH = 4096  # JSON chunks, a few bytes each, joined per write
-
-
-def json_pieces(doc) -> Iterator[str]:
-    """The text of json.dumps(doc, indent=2, ensure_ascii=False) + "\n", _BATCH chunks a piece."""
-    chunks = itertools.chain(_JSON.iterencode(doc), ["\n"])
-    while batch := list(itertools.islice(chunks, _BATCH)):
-        yield "".join(batch)
 
 
 def _write_lines(path: str | Path, pieces: Iterable[str]) -> None:
@@ -116,7 +103,7 @@ def compute_metrics(log: RunLog, cfg: PerformanceConfig) -> MetricsReport:
 
     # First step outside the hard band or unsolved: the attack-success predicate.
     attack_step = next(
-        (t for t, phase in zip(steps, phases) if phase in (PHASE_EMERGENCY, PHASE_BLACKOUT)), None
+        (t for t, phase in zip(steps, phases) if phase in ATTACK_PHASES), None
     )
 
     segments = tuple(classify_resilience_phases(p_world, cfg)) if p_world else ()
@@ -155,8 +142,15 @@ MARGIN_BOTTOM = 40
 N_TICKS = 5
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+# One format per SVG element; callers pass each coordinate as it is to be written.
+def _line(x1, y1, x2, y2, stroke: str, width: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
+def _text(x, y, anchor: str, size: int, text: str, extra: str = "") -> str:
+    body = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}" '
+            f'font-family="sans-serif"{extra}>{body}</text>')
 
 
 def emit_plot(
@@ -201,54 +195,24 @@ def emit_plot(
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{VIEW_W / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-size="14" font-family="sans-serif">{_escape(title)}</text>'
-        )
+        out.append(_text(f"{VIEW_W / 2:.1f}", 18, "middle", 14, title))
     for i in range(N_TICKS + 1):
         v = lo + (hi - lo) * i / N_TICKS
         y = y_px(v)
-        out.append(
-            f'<line x1="{plot_left}" y1="{y:.3f}" x2="{plot_right}" y2="{y:.3f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{plot_left - 6}" y="{y + 4:.3f}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{v:.6g}</text>'
-        )
+        out.append(_line(plot_left, f"{y:.3f}", plot_right, f"{y:.3f}", "#dddddd", "1"))
+        out.append(_text(plot_left - 6, f"{y + 4:.3f}", "end", 11, f"{v:.6g}"))
     for i in range(N_TICKS + 1):
         idx = round(i * span_x / N_TICKS)
-        x = x_px(idx)
-        out.append(
-            f'<line x1="{x:.3f}" y1="{plot_bottom}" x2="{x:.3f}" y2="{plot_bottom + 5}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.3f}" y="{plot_bottom + 18}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{x_start + idx}</text>'
-        )
-    out.append(
-        f'<line x1="{plot_left}" y1="{plot_bottom}" x2="{plot_right}" y2="{plot_bottom}" '
-        'stroke="#000000" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<line x1="{plot_left}" y1="{plot_top}" x2="{plot_left}" y2="{plot_bottom}" '
-        'stroke="#000000" stroke-width="1.5"/>'
-    )
+        x = f"{x_px(idx):.3f}"
+        out.append(_line(x, plot_bottom, x, plot_bottom + 5, "#000000", "1"))
+        out.append(_text(x, plot_bottom + 18, "middle", 11, str(x_start + idx)))
+    out.append(_line(plot_left, plot_bottom, plot_right, plot_bottom, "#000000", "1.5"))
+    out.append(_line(plot_left, plot_top, plot_left, plot_bottom, "#000000", "1.5"))
     points = " ".join(f"{x_px(i):.3f},{y_px(v):.3f}" for i, v in enumerate(values))
-    out.append(
-        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{points}"/>'
-    )
-    out.append(
-        f'<text x="{(plot_left + plot_right) / 2:.1f}" y="{VIEW_H - 8}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{_escape(x_label)}</text>'
-    )
+    out.append(f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{points}"/>')
+    out.append(_text(f"{(plot_left + plot_right) / 2:.1f}", VIEW_H - 8, "middle", 12, x_label))
     if y_label:
-        mid_y = (plot_top + plot_bottom) / 2
-        out.append(
-            f'<text x="14" y="{mid_y:.1f}" text-anchor="middle" font-size="12" '
-            f'font-family="sans-serif" transform="rotate(-90 14 {mid_y:.1f})">'
-            f"{_escape(y_label)}</text>"
-        )
+        mid_y = f"{(plot_top + plot_bottom) / 2:.1f}"
+        out.append(_text(14, mid_y, "middle", 12, y_label, f' transform="rotate(-90 14 {mid_y})"'))
     out.append("</svg>")
     _write_lines(path, (line + "\n" for line in out))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridduel.agents import ActuatorRef
+from gridduel.agents import ActuatorRef, RewardParams
 from gridduel.cli import main
 from gridduel.config import ConfigError, fixture_path, load_config, load_config_path, save_config
 
@@ -309,9 +309,10 @@ def _reward(**values):
         (TWO_BUS, _reward(mu=-1e308), r"reward: mu must be > 0, with mu\*\*2 finite"),
         (TWO_BUS, _reward(mu=1e200), r"reward: mu must be > 0, with mu\*\*2 finite"),  # (x - mu)**2 overflows
         (TWO_BUS, _reward(sigma=1e-5),  # the default c underflows to 0
-         r"reward\.sigma: gives a default c of 0\.0, outside \(0, 1\); give 'c' explicitly"),
+         r"reward: sigma gives a default c of 0\.0, outside \(0, 1\); give 'c' explicitly"),
         (TWO_BUS, _reward(sigma=1e100),  # the default c rounds to 1
-         r"reward\.sigma: gives a default c of 1\.0, outside \(0, 1\); give 'c' explicitly"),
+         r"reward: sigma gives a default c of 1\.0, outside \(0, 1\); give 'c' explicitly"),
+        (TWO_BUS, _reward(c=None), r"reward\.c: expected a number"),  # null is not "take the default"
         (POC, _learner_edit(hidden=0), r"learner: hidden must be >= 1"),
         (POC, _learner_edit(learning_rate=-0.001), r"learner: learning_rate must be >= 0"),
         (POC, _learner_edit(batch_size=0), r"learner: batch_size must be >= 1"),
@@ -323,7 +324,7 @@ def _reward(**values):
     ],
     ids=["n_bins_zero", "sigma_squared_underflows", "sigma_squared_overflows",
          "sigma_squared_overflows_with_c", "negative_mu", "mu_squared_overflows",
-         "default_c_underflows", "default_c_rounds_to_one", "hidden_zero", "negative_learning_rate", "batch_size_zero", "bin_lo_above_bin_hi",
+         "default_c_underflows", "default_c_rounds_to_one", "null_c", "hidden_zero", "negative_learning_rate", "batch_size_zero", "bin_lo_above_bin_hi",
          "alpha_above_one", "epsilon_start_above_one", "negative_epsilon_end", "negative_decay_steps"],
 )
 def test_out_of_range_hyperparameters_exit_1(path, edit, message, tmp_path, monkeypatch, capsys):
@@ -400,6 +401,13 @@ def test_custom_sigma_moves_default_boundary():
     import math
 
     assert cfg.agents[0].reward.c == math.exp(-(0.05**2) / (2 * 0.05**2))
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.03, 0.05, 0.2])
+def test_default_c_is_the_same_in_python_and_json(sigma):
+    doc = poc_doc()
+    doc["agents"][0]["reward"] = {"sigma": sigma}
+    assert load_doc(doc).agents[0].reward.c == RewardParams(sigma=sigma).c
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,9 @@ def test_disconnected_graph_rejected():
         (lambda g: dataclasses.replace(
             g, lines=(dataclasses.replace(g.lines[0], r_pu=0.0, x_pu=0.0),) + g.lines[1:]),
          "zero-impedance"),
+        (lambda g: dataclasses.replace(
+            g, transformers=(dataclasses.replace(g.transformers[0], tap_pos=2.5),) + g.transformers[1:]),
+         "must be integers"),
     ],
 )
 def test_validation_rejections(poc_grid, mutate, message):
@@ -170,14 +173,26 @@ def test_copy_helpers_reject_a_missing_device(poc_grid, index):
 
 
 @pytest.mark.parametrize("call", [
-    lambda g: g.with_tap(0, math.nan),
     lambda g: g.with_generator_setpoint(0, 0.5, math.nan),
     lambda g: g.with_generator_setpoint(0, math.nan, 0.0),
     lambda g: g.with_load_scaling(0, math.nan),
-], ids=["tap", "generator_q", "generator_p", "load"])
+], ids=["generator_q", "generator_p", "load"])
 def test_copy_helpers_reject_a_nan_target(poc_grid, call):
     with pytest.raises(ValueError, match="must not be NaN"):
         call(poc_grid)
+
+
+@pytest.mark.parametrize("target", [math.nan, 2.5, 2.0, math.inf, "3"], ids=["nan", "2.5", "2.0", "inf", "str"])
+def test_with_tap_rejects_a_non_integer_target(poc_grid, target):
+    with pytest.raises(TypeError):
+        poc_grid.with_tap(0, target)
+
+
+def test_with_tap_stores_an_integer_target_as_int(poc_grid):
+    """A numpy integer becomes an int, so the grid saves, loads and fingerprints."""
+    grid = poc_grid.with_tap(0, np.int64(3))
+    assert type(grid.transformers[0].tap_pos) is int
+    assert load_config(save_config_with_grid(grid)).build_grid() == grid
 
 
 # Helper name -> (device tuple it changes, number of target values it takes).
@@ -191,7 +206,10 @@ _TARGETS = st.floats() | st.sampled_from([math.inf, -math.inf, 1e308, -1e308, -0
        calls=st.lists(st.tuples(st.sampled_from(sorted(_HELPERS)), st.integers() | st.integers(-1, 6),
                                 st.lists(_TARGETS, min_size=2, max_size=2)), max_size=8))
 def test_copy_helpers_keep_every_invariant(base, calls):
-    """The with_* copies skip the constructor's check, so each must keep every invariant itself."""
+    """The with_* copies skip the constructor's check, so each must keep every invariant itself.
+
+    Each copy also survives a config round trip, which reads tap positions as integers.
+    """
     grid = base()
     for name, index, targets in calls:
         kind, arity = _HELPERS[name]
@@ -200,6 +218,9 @@ def test_copy_helpers_keep_every_invariant(base, calls):
         if not 0 <= index < len(getattr(grid, kind)):
             with pytest.raises(IndexError):
                 helper(index, *targets)
+        elif name == "with_tap" and not isinstance(targets[0], int):
+            with pytest.raises(TypeError):
+                helper(index, *targets)
         elif any(math.isnan(v) for v in targets):
             with pytest.raises(ValueError):
                 helper(index, *targets)
@@ -207,6 +228,7 @@ def test_copy_helpers_keep_every_invariant(base, calls):
             new = helper(index, *targets)
             rebuilt = GridModel(**{f.name: getattr(new, f.name) for f in dataclasses.fields(GridModel)})
             assert new == rebuilt
+            assert load_config(save_config_with_grid(new)).build_grid() == new
             grid = new
 
 

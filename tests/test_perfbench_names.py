@@ -44,11 +44,28 @@ def test_synthetic_run_log_builds_from_poc(bench):
     assert run.check_rewards(gridduel, cfg, rows) == []
 
 
+def tabular_poc(run):
+    """perfbench's tabular poc duel, cut to 3 rounds."""
+    text = run.tabular_config_text(gridduel, fixture_path("poc.json").read_text(encoding="utf-8"))
+    return dataclasses.replace(load_config(text), rounds=3)
+
+
 def test_replayed_labels_match_a_tabular_duel(bench):
     _, run = bench
-    text = run.tabular_config_text(gridduel, fixture_path("poc.json").read_text(encoding="utf-8"))
-    cfg = dataclasses.replace(load_config(text), rounds=3)
+    cfg = tabular_poc(run)
     assert {spec.learner_kind for spec in cfg.agents} == {"tabular"}
     log = gridduel.run_experiment(cfg)
     assert any(label != gridduel.agents.HOLD for rec in log.steps for label in rec.y)
     assert run.check_residuals(gridduel, cfg, log) == []
+
+
+def test_tracer_counts_every_solver_call(bench):
+    """A wrap point that exists but is bypassed would report 0 calls and no error."""
+    spans, run = bench
+    tracer = spans.Tracer()
+    with tracer.installed(gridduel):
+        log = gridduel.run_experiment(tabular_poc(run))
+    calls = {name: s["calls"] for name, s in tracer.summary().items()}
+    assert len(log.steps) == 6
+    for name in ("powerflow.solve", "grid.admittance", "grid.injections"):
+        assert calls.get(name) == len(log.steps) + 1, name  # one solve per step and the initial one

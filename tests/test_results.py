@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridduel.agents import reward as reward_fn
-from gridduel.codec import encode
+from gridduel.codec import encode, json_pieces
 from gridduel.core import AgentSummary, PerformanceConfig, RunLog, StepRecord, run_experiment
 from gridduel.results import (
     AGENT_LOG_HEADER,
@@ -18,7 +18,6 @@ from gridduel.results import (
     VIEW_H,
     compute_metrics,
     emit_plot,
-    json_pieces,
     metrics_doc,
     read_run_log,
     write_agent_log,
