@@ -91,31 +91,18 @@ def initial_world(grid: GridModel) -> WorldState:
 
 def observe(world: WorldState, sensors: Sequence[tuple[int, str]]) -> np.ndarray:
     """Read-only voltage magnitudes at the sensors' buses; the last finite iterate's if the solve failed."""
-    values = np.array([world.solution.v_pu[bus] for bus, _ in sensors])
+    values = world.solution.v_pu[[bus for bus, _ in sensors]]
     values.flags.writeable = False
     return values
 
 
-def _apply_one(grid: GridModel, action: Action) -> GridModel:
-    ref, label = action.actuator, action.label
-    move = agents_mod.MOVES[ref.kind].get(label)
-    if move is None:
-        raise ValueError(f"unknown {ref.kind} action label {label!r}")
-    if label == agents_mod.HOLD:
-        return grid
-    if ref.kind == agents_mod.TRANSFORMER:
-        return grid.with_tap(ref.index, grid.transformers[ref.index].tap_pos + move)
-    if ref.kind == agents_mod.GENERATOR:
-        g = grid.generators[ref.index]
-        return grid.with_generator_setpoint(ref.index, g.p_mw + move[0], g.q_mvar + move[1])
-    return grid.with_load_scaling(ref.index, grid.loads[ref.index].scaling + move)
-
-
 def apply_actions(world: WorldState, actions: Iterable[Action]) -> WorldState:
-    """Apply a batch of actions to disjoint devices and re-solve the grid.
+    """Apply a batch of actions to disjoint devices as one grid copy and re-solve the grid.
 
-    Out-of-range moves are clamped at the device limits (degrading to hold),
-    so application order over disjoint devices cannot matter.
+    Each move's target is read from the grid before the turn; out-of-range
+    targets are clamped at the device limits (degrading to hold), so
+    application order over disjoint devices cannot matter.  A conflict or an
+    unknown label raises before anything is copied or solved.
     """
     actions = list(actions)
     touched: set[tuple[str, int]] = set()
@@ -127,8 +114,24 @@ def apply_actions(world: WorldState, actions: Iterable[Action]) -> WorldState:
             )
         touched.add(key)
     grid = world.grid
+    taps: dict[int, int] = {}
+    setpoints: dict[int, tuple[float, float]] = {}
+    scalings: dict[int, float] = {}
     for a in actions:
-        grid = _apply_one(grid, a)
+        ref, label = a.actuator, a.label
+        move = agents_mod.MOVES[ref.kind].get(label)
+        if move is None:
+            raise ValueError(f"unknown {ref.kind} action label {label!r}")
+        if label == agents_mod.HOLD:
+            continue
+        if ref.kind == agents_mod.TRANSFORMER:
+            taps[ref.index] = grid.transformers[ref.index].tap_pos + move
+        elif ref.kind == agents_mod.GENERATOR:
+            g = grid.generators[ref.index]
+            setpoints[ref.index] = (g.p_mw + move[0], g.q_mvar + move[1])
+        else:
+            scalings[ref.index] = grid.loads[ref.index].scaling + move
+    grid = grid.with_targets(transformers=taps, generators=setpoints, loads=scalings)
     return WorldState(t=world.t + 1, grid=grid, solution=solve_newton_raphson(grid))
 
 

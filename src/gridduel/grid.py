@@ -5,16 +5,20 @@ buses (one slack, the rest PQ or PV), lines, tap-changing two-winding
 transformers, PQ generators (modelled as negative loads) and scalable loads.
 A :class:`GridModel` is checked once, when it is built: the constructor, the
 JSON decoder and ``dataclasses.replace`` all run :meth:`GridModel.validate`,
-and the solver never checks it again.  Actuator moves go through the ``with_*``
-copy helpers, which clamp one device inside limits the grid already holds, so
-their copies skip the re-check.
+and the solver never checks it again.  Actuator moves go through one copy
+helper, :meth:`GridModel.with_targets`, which clamps any number of devices
+inside limits the grid already holds, so its copy skips the re-check; the
+``with_*`` helpers are its one-device form.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -23,6 +27,8 @@ PV = "pv"
 PQ = "pq"
 
 _BUS_KINDS = (SLACK, PV, PQ)
+
+_NO_TARGETS: Mapping = MappingProxyType({})
 
 
 class ModelValidationError(ValueError):
@@ -110,6 +116,8 @@ class GridModel:
 
     def validate(self) -> None:
         """Check all structural invariants; raise ModelValidationError on the first broken one."""
+        if not math.isfinite(self.s_base_mva):
+            raise ModelValidationError("s_base_mva must be finite")
         if self.s_base_mva <= 0:
             raise ModelValidationError("s_base_mva must be > 0")
         n = len(self.buses)
@@ -125,6 +133,12 @@ class GridModel:
         slacks = [b.id for b in self.buses if b.kind == SLACK]
         if len(slacks) != 1:
             raise ModelValidationError(f"exactly one slack bus required, found {len(slacks)}")
+        for kind in ("buses", "lines", "transformers", "generators", "loads"):
+            for i, device in enumerate(getattr(self, kind)):
+                for f in fields(device):
+                    value = getattr(device, f.name)
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ModelValidationError(f"{kind}[{i}]: {f.name} must be finite")
         for b in self.buses:
             if b.kind not in _BUS_KINDS:
                 raise ModelValidationError(f"bus {b.id}: unknown kind {b.kind!r}")
@@ -203,29 +217,56 @@ class GridModel:
 
     # -- copy-and-modify actuator helpers ------------------------------------
 
-    def _with_device(self, kind: str, index: int, change) -> GridModel:
-        """Copy with ``change(device)`` at ``index`` of ``kind``, unchecked: callers only clamp."""
-        devices = getattr(self, kind)
-        if not 0 <= index < len(devices):
-            raise IndexError(f"{kind}[{index}] does not exist")
-        new = copy.copy(self)
-        object.__setattr__(new, kind, devices[:index] + (change(devices[index]),) + devices[index + 1 :])
+    def with_targets(
+        self,
+        transformers: Mapping[int, int] = _NO_TARGETS,
+        generators: Mapping[int, tuple[float, float]] = _NO_TARGETS,
+        loads: Mapping[int, float] = _NO_TARGETS,
+    ) -> GridModel:
+        """One copy with each listed device moved to its target, clamped to its limits.
+
+        The mappings take a device index to a tap position, a ``(p_mw, q_mvar)``
+        setpoint or a load scaling.  A kind with no targets keeps its tuple, and
+        no targets at all return the grid itself.  Clamping keeps every device
+        inside limits the grid already holds, so the copy skips :meth:`validate`.
+        A missing index raises IndexError, a NaN target ValueError and a
+        non-integer tap position TypeError.
+        """
+        new = self
+        for kind, targets in (("transformers", transformers), ("generators", generators), ("loads", loads)):
+            if not targets:
+                continue
+            devices, move_to = list(getattr(self, kind)), _MOVE_TO[kind]
+            for index, target in targets.items():
+                if not 0 <= index < len(devices):
+                    raise IndexError(f"{kind}[{index}] does not exist")
+                devices[index] = move_to(devices[index], target)
+            if new is self:
+                new = copy.copy(self)
+            object.__setattr__(new, kind, tuple(devices))
         return new
 
     def with_tap(self, index: int, tap_pos: int) -> GridModel:
         """Copy with transformer ``index`` moved to ``tap_pos`` (clamped); a non-integer raises TypeError."""
-        return self._with_device("transformers", index, lambda tr: replace(
-            tr, tap_pos=_clamp(operator.index(tap_pos), tr.tap_min, tr.tap_max)))
+        return self.with_targets(transformers={index: tap_pos})
 
     def with_generator_setpoint(self, index: int, p_mw: float, q_mvar: float) -> GridModel:
         """Copy with generator ``index`` at the given setpoint (clamped to limits)."""
-        return self._with_device("generators", index, lambda g: replace(
-            g, p_mw=_clamp(p_mw, g.p_min_mw, g.p_max_mw), q_mvar=_clamp(q_mvar, g.q_min_mvar, g.q_max_mvar)))
+        return self.with_targets(generators={index: (p_mw, q_mvar)})
 
     def with_load_scaling(self, index: int, scaling: float) -> GridModel:
         """Copy with load ``index`` at the given scaling factor (clamped)."""
-        return self._with_device("loads", index, lambda ld: replace(
-            ld, scaling=_clamp(scaling, ld.scaling_min, ld.scaling_max)))
+        return self.with_targets(loads={index: scaling})
+
+
+# How with_targets moves one device of each kind to its target.
+_MOVE_TO = {
+    "transformers": lambda tr, tap_pos: replace(
+        tr, tap_pos=_clamp(operator.index(tap_pos), tr.tap_min, tr.tap_max)),
+    "generators": lambda g, pq: replace(
+        g, p_mw=_clamp(pq[0], g.p_min_mw, g.p_max_mw), q_mvar=_clamp(pq[1], g.q_min_mvar, g.q_max_mvar)),
+    "loads": lambda ld, scaling: replace(ld, scaling=_clamp(scaling, ld.scaling_min, ld.scaling_max)),
+}
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -244,37 +285,39 @@ def build_admittance_matrix(grid: GridModel) -> np.ndarray:
     by ``a``, the from-side diagonal by ``a**2``.
     """
     n = grid.n_bus
-    y = np.zeros((n, n), dtype=complex)
+    # Row-major entries as Python complex numbers: each += and -= is the same
+    # pair of IEEE adds numpy would do in place, without a numpy call per entry.
+    y = [0j] * (n * n)
     for ln in grid.lines:
         ys = 1.0 / complex(ln.r_pu, ln.x_pu)
         f, t = ln.from_bus, ln.to_bus
-        y[f, f] += ys + 0.5j * ln.b_shunt_pu
-        y[t, t] += ys + 0.5j * ln.b_shunt_pu
-        y[f, t] -= ys
-        y[t, f] -= ys
+        y[f * n + f] += ys + 0.5j * ln.b_shunt_pu
+        y[t * n + t] += ys + 0.5j * ln.b_shunt_pu
+        y[f * n + t] -= ys
+        y[t * n + f] -= ys
     for tr in grid.transformers:
         ys = 1.0 / complex(tr.r_pu, tr.x_pu)
         a = tr.ratio
         f, t = tr.from_bus, tr.to_bus
-        y[f, f] += ys / (a * a)
-        y[t, t] += ys
-        y[f, t] -= ys / a
-        y[t, f] -= ys / a
-    return y
+        y[f * n + f] += ys / (a * a)
+        y[t * n + t] += ys
+        y[f * n + t] -= ys / a
+        y[t * n + f] -= ys / a
+    return np.array(y).reshape(n, n)
 
 
 def scheduled_injections_pu(grid: GridModel) -> tuple[np.ndarray, np.ndarray]:
     """Net scheduled P and Q per bus in per-unit (generation minus scaled load)."""
     n = grid.n_bus
-    p = np.zeros(n)
-    q = np.zeros(n)
+    p = [0.0] * n  # Python floats: the same adds as numpy's, without a numpy call per device
+    q = [0.0] * n
     for g in grid.generators:
         p[g.bus] += g.p_mw
         q[g.bus] += g.q_mvar
     for ld in grid.loads:
         p[ld.bus] -= ld.p_mw * ld.scaling
         q[ld.bus] -= ld.q_mvar * ld.scaling
-    return p / grid.s_base_mva, q / grid.s_base_mva
+    return np.array(p) / grid.s_base_mva, np.array(q) / grid.s_base_mva
 
 
 def arl_poc_grid() -> GridModel:

@@ -9,6 +9,7 @@ blackout-grade world state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +69,26 @@ def _mismatch(sched: np.ndarray, s_calc: np.ndarray, unknowns: np.ndarray) -> np
     return (sched - np.concatenate([s_calc.real, s_calc.imag]))[unknowns]
 
 
+def _jacobian_positions(unknowns: np.ndarray, n: int) -> np.ndarray:
+    """Flat positions of the Jacobian's entries in ``[dS/dtheta, dS/dV]`` viewed as floats.
+
+    Each row of that n x 2n complex block is 4n floats, the real and imaginary
+    part of each column side by side.  Unknown ``u`` is column u of the block
+    and, as a row of the stacked [P; Q], the real (u < n) or imaginary part of
+    row ``u % n``.
+    """
+    rows = (unknowns % n) * (4 * n) + unknowns // n
+    return rows[:, None] + 2 * unknowns
+
+
 def _jacobian(
     ybus: np.ndarray,
     unit: np.ndarray,
     vc: np.ndarray,
     ibus: np.ndarray,
-    unknowns: np.ndarray,
+    positions: np.ndarray,
 ) -> np.ndarray:
     """d(mismatch)/d[theta at non-slack; V at pq] as one dense square matrix."""
-    n = len(vc)
     diag_v = np.diag(vc)
     diag_i = np.diag(ibus)
     diag_vnorm = np.diag(unit)
@@ -84,12 +96,7 @@ def _jacobian(
     # products: broadcasting instead changes the last bits of every iterate.
     ds_dtheta = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
     ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-    full = np.empty((2 * n, 2 * n))
-    full[:n, :n] = ds_dtheta.real
-    full[:n, n:] = ds_dvm.real
-    full[n:, :n] = ds_dtheta.imag
-    full[n:, n:] = ds_dvm.imag
-    jac = full[unknowns[:, None], unknowns]
+    jac = np.concatenate([ds_dtheta, ds_dvm], axis=1).view(float).ravel()[positions]
     # Mismatch is scheduled minus calculated, hence the sign flip.
     return np.negative(jac, out=jac)
 
@@ -110,7 +117,7 @@ def compute_jacobian(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -
     """Analytic derivative of :func:`compute_mismatch` w.r.t. the solver state."""
     ybus, _, unknowns = _setup(grid)
     unit, vc, ibus, _ = _evaluate(ybus, np.asarray(v_pu, float), np.asarray(theta_rad, float))
-    return _jacobian(ybus, unit, vc, ibus, unknowns)
+    return _jacobian(ybus, unit, vc, ibus, _jacobian_positions(unknowns, grid.n_bus))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -129,6 +136,7 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
         raise ValueError("max_iter must be >= 1")
     ybus, sched, unknowns = _setup(grid)
     n = grid.n_bus
+    positions = _jacobian_positions(unknowns, n)
 
     x = _flat_start(grid)
     failure: str | None = None
@@ -140,7 +148,7 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
         mis = _mismatch(sched, s_calc, unknowns)
         evaluations += 1
         max_mis = float(np.abs(mis).max()) if mis.size else 0.0
-        if not np.isfinite(max_mis):
+        if not math.isfinite(max_mis):
             failure = "diverged"
             break
         if max_mis <= TOL:
@@ -148,7 +156,7 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
         if evaluations > max_iter:
             failure = "max_iter"
             break
-        jac = _jacobian(ybus, unit, vc, ibus, unknowns)
+        jac = _jacobian(ybus, unit, vc, ibus, positions)
         try:
             dx = np.linalg.solve(jac, -mis)
         except np.linalg.LinAlgError:

@@ -1,9 +1,20 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridduel.agents import LABELS_BY_KIND, ActuatorRef
+from gridduel import core
+from gridduel.agents import (
+    GEN_P_STEP_MW,
+    GEN_Q_STEP_MVAR,
+    HOLD,
+    LABELS_BY_KIND,
+    LOAD_SCALING_STEP,
+    TAP_STEP,
+    ActuatorRef,
+)
 from gridduel.core import (
     ABSORB,
     ADAPT,
@@ -203,6 +214,104 @@ def test_apply_resolves_consistently(poc_grid):
     after = apply_actions(world, [Action(ActuatorRef("generator", 0), "p_inc")])
     resolved = solve_newton_raphson(after.grid)
     assert after.solution.v_pu.tobytes() == resolved.v_pu.tobytes()
+
+
+POC_TURNS = {spec.id: spec.actuators for spec in experiment_config().agents}
+POC_TURNS["both"] = POC_TURNS["attacker"] + POC_TURNS["defender"]
+DEVICE_FIELDS = {"transformer": "transformers", "generator": "generators", "load": "loads"}
+
+
+@st.composite
+def poc_grids_near_limits(draw):
+    """The poc grid with every actuated device at a limit, one partial step inside it, or midway."""
+    g = arl_poc_grid()
+    for i in range(6):
+        g = g.with_tap(i, draw(st.sampled_from([-9, -8, 0, 8, 9])))
+        g = g.with_load_scaling(i, draw(st.sampled_from([0.5, 0.55, 1.0, 1.45, 1.5])))
+    for i in range(4):
+        g = g.with_generator_setpoint(i, draw(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0])),
+                                      draw(st.sampled_from([-0.3, -0.27, 0.0, 0.27, 0.3])))
+    return g
+
+
+def one_label_at_a_time(grid, actions):
+    """The grid after ``actions``, one with_* copy per non-hold label, with this test's own steps."""
+    for a in actions:
+        i, label = a.actuator.index, a.label
+        if label == HOLD:
+            continue
+        if a.actuator.kind == "transformer":
+            step = TAP_STEP if label == "increment" else -TAP_STEP
+            grid = grid.with_tap(i, grid.transformers[i].tap_pos + step)
+        elif a.actuator.kind == "generator":
+            dp, dq = {"p_inc": (GEN_P_STEP_MW, 0.0), "p_dec": (-GEN_P_STEP_MW, 0.0),
+                      "q_inc": (0.0, GEN_Q_STEP_MVAR), "q_dec": (0.0, -GEN_Q_STEP_MVAR)}[label]
+            g = grid.generators[i]
+            grid = grid.with_generator_setpoint(i, g.p_mw + dp, g.q_mvar + dq)
+        else:
+            step = LOAD_SCALING_STEP if label == "increment" else -LOAD_SCALING_STEP
+            grid = grid.with_load_scaling(i, grid.loads[i].scaling + step)
+    return grid
+
+
+@contextlib.contextmanager
+def counting_copies_and_solves(world):
+    """Count GridModel.with_targets calls and collect the grids solved, with the solver stubbed out."""
+    calls = {"copies": 0, "solves": []}
+    with_targets = GridModel.with_targets
+
+    def copy(*args, **kwargs):
+        calls["copies"] += 1
+        return with_targets(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "solve_newton_raphson", lambda grid: calls["solves"].append(grid) or world.solution)
+        mp.setattr(GridModel, "with_targets", copy)
+        yield calls
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(grid=poc_grids_near_limits(), data=st.data())
+def test_turn_is_one_copy_equal_to_its_labels_applied_one_at_a_time(grid, data):
+    world = WorldState(t=0, grid=grid, solution=None)
+    actuators = POC_TURNS[data.draw(st.sampled_from(sorted(POC_TURNS)))]
+    holds_only = data.draw(st.booleans())
+    actions = [Action(ref, HOLD if holds_only else data.draw(st.sampled_from(LABELS_BY_KIND[ref.kind])))
+               for ref in actuators]
+    with counting_copies_and_solves(world) as calls:
+        after = apply_actions(world, actions)
+    assert calls == {"copies": 1, "solves": [after.grid]}
+    expected = one_label_at_a_time(grid, actions)
+    assert after.grid == expected
+    assert repr(after.grid) == repr(expected)  # the same bits in every float, -0.0 included
+    assert after.grid.buses is grid.buses and after.grid.lines is grid.lines
+    for kind, name in DEVICE_FIELDS.items():
+        if all(a.label == HOLD for a in actions if a.actuator.kind == kind):
+            assert getattr(after.grid, name) is getattr(grid, name)
+    if holds_only:
+        assert after.grid is grid
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(grid=poc_grids_near_limits(), data=st.data())
+def test_bad_turn_raises_before_any_copy_or_solve(grid, data):
+    world = WorldState(t=0, grid=grid, solution=None)
+    actuators = POC_TURNS["both"]
+    actions = [Action(ref, data.draw(st.sampled_from(LABELS_BY_KIND[ref.kind]))) for ref in actuators]
+    at = data.draw(st.integers(0, len(actions) - 1))
+    ref = actuators[at]
+    if data.draw(st.booleans()):
+        twice = Action(ref, data.draw(st.sampled_from(LABELS_BY_KIND[ref.kind])))
+        actions.insert(data.draw(st.integers(0, len(actions))), twice)
+        error, message = ActuatorConflictError, "same device"
+    else:
+        foreign = sorted({label for labels in LABELS_BY_KIND.values() for label in labels}
+                         - set(LABELS_BY_KIND[ref.kind]))
+        actions[at] = Action(ref, data.draw(st.sampled_from(foreign)))
+        error, message = ValueError, f"unknown {ref.kind} action label"
+    with counting_copies_and_solves(world) as calls, pytest.raises(error, match=message):
+        apply_actions(world, actions)
+    assert calls == {"copies": 0, "solves": []}
 
 
 # -- performance, attack success, phases ---------------------------------------------

@@ -119,6 +119,28 @@ def test_validation_rejections(poc_grid, mutate, message):
         mutate(poc_grid)
 
 
+def _with_first(g, kind, **changes):
+    devices = getattr(g, kind)
+    return dataclasses.replace(g, **{kind: (dataclasses.replace(devices[0], **changes),) + devices[1:]})
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda g: _with_first(g, "lines", r_pu=math.nan), r"lines\[0\]: r_pu must be finite"),
+    (lambda g: _with_first(g, "transformers", tap_step_pu=math.nan),
+     r"transformers\[0\]: tap_step_pu must be finite"),
+    (lambda g: dataclasses.replace(g, s_base_mva=math.inf), "s_base_mva must be finite"),
+    (lambda g: _with_first(g, "buses", base_kv=-math.inf), r"buses\[0\]: base_kv must be finite"),
+    (lambda g: _with_first(g, "buses", v_setpoint_pu=math.nan), r"buses\[0\]: v_setpoint_pu must be finite"),
+    (lambda g: _with_first(g, "generators", q_max_mvar=math.inf),
+     r"generators\[0\]: q_max_mvar must be finite"),
+    (lambda g: _with_first(g, "loads", scaling_max=math.nan), r"loads\[0\]: scaling_max must be finite"),
+], ids=["line_r", "tap_step", "s_base", "bus_kv", "bus_setpoint", "generator_q_max", "load_scaling_max"])
+def test_non_finite_numbers_rejected(poc_grid, mutate, message):
+    """Before this check the first two grids failed every solve and the third solved with zero injections."""
+    with pytest.raises(ModelValidationError, match=message):
+        mutate(poc_grid)
+
+
 def test_generator_must_sit_on_pq_bus():
     with pytest.raises(ModelValidationError, match="pq bus"):
         GridModel(

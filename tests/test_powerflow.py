@@ -64,6 +64,41 @@ def fd_jacobian(grid, v, theta, h=1e-6):
     return np.stack(cols, axis=1)
 
 
+def reference_admittance(grid):
+    """The admittance matrix as in-place adds on a numpy matrix, the assembly before Python lists."""
+    n = grid.n_bus
+    y = np.zeros((n, n), dtype=complex)
+    for ln in grid.lines:
+        ys = 1.0 / complex(ln.r_pu, ln.x_pu)
+        f, t = ln.from_bus, ln.to_bus
+        y[f, f] += ys + 0.5j * ln.b_shunt_pu
+        y[t, t] += ys + 0.5j * ln.b_shunt_pu
+        y[f, t] -= ys
+        y[t, f] -= ys
+    for tr in grid.transformers:
+        ys = 1.0 / complex(tr.r_pu, tr.x_pu)
+        a = tr.ratio
+        f, t = tr.from_bus, tr.to_bus
+        y[f, f] += ys / (a * a)
+        y[t, t] += ys
+        y[f, t] -= ys / a
+        y[t, f] -= ys / a
+    return y
+
+
+def reference_injections(grid):
+    """Scheduled P and Q as in-place adds on numpy vectors, the assembly before Python lists."""
+    p = np.zeros(grid.n_bus)
+    q = np.zeros(grid.n_bus)
+    for g in grid.generators:
+        p[g.bus] += g.p_mw
+        q[g.bus] += g.q_mvar
+    for ld in grid.loads:
+        p[ld.bus] -= ld.p_mw * ld.scaling
+        q[ld.bus] -= ld.q_mvar * ld.scaling
+    return p / grid.s_base_mva, q / grid.s_base_mva
+
+
 def reference_mismatch(grid, v, theta):
     """The residual as the solver assembled it before one evaluation served all uses."""
     ybus = build_admittance_matrix(grid)
@@ -192,6 +227,17 @@ def test_mismatch_and_jacobian_bits_match_reference_assembly(make_grid, rng):
         g, v, theta = random_operating_point(grid, rng)
         assert compute_mismatch(g, v, theta).tobytes() == reference_mismatch(g, v, theta).tobytes()
         assert compute_jacobian(g, v, theta).tobytes() == reference_jacobian(g, v, theta).tobytes()
+
+
+@pytest.mark.parametrize("make_grid", [arl_poc_grid, pv_grid], ids=["poc", "pv"])
+def test_admittance_and_injection_bits_match_reference_assembly(make_grid, rng):
+    grid = make_grid()
+    for _ in range(20):
+        g = random_operating_point(grid, rng)[0]
+        got, want = build_admittance_matrix(g), reference_admittance(g)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        for got, want in zip(scheduled_injections_pu(g), reference_injections(g), strict=True):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_two_bus_jacobian_hand_value():
