@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -110,25 +111,34 @@ class ActuatorRef:
 # -- Q-network ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QNetwork:
-    """Two-layer perceptron, tanh hidden layer, identity output."""
+    """Two-layer perceptron, tanh hidden layer, identity output.
+
+    Training updates the parameter arrays in place, so the group offsets are
+    computed once, here: ``starts`` holds each group's first output column.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
     group_sizes: tuple[int, ...]
+    _offsets: tuple[int, ...] = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        offsets = (0, *accumulate(self.group_sizes))
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "starts", np.array(offsets[:-1], dtype=np.intp))
 
     @property
     def n_in(self) -> int:
         return self.w1.shape[1]
 
-    def group_offsets(self) -> list[int]:
-        offs = [0]
-        for size in self.group_sizes:
-            offs.append(offs[-1] + size)
-        return offs
+    def group_offsets(self) -> tuple[int, ...]:
+        """Each group's first output column, then the number of labels."""
+        return self._offsets
 
     def parameters(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -165,7 +175,16 @@ def forward(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
     """Q-values for one input, split into one array per action group."""
     q = _forward_flat(net, np.asarray(x, dtype=float).reshape(1, -1))[1][0]
     offs = net.group_offsets()
-    return [q[offs[i] : offs[i + 1]] for i in range(len(net.group_sizes))]
+    return [q[lo:hi] for lo, hi in zip(offs, offs[1:])]
+
+
+def _argmax(q: np.ndarray) -> int:
+    """``np.argmax(q)`` for a short vector, on Python floats: the first maximum, or the first NaN."""
+    values = q.tolist()
+    total = sum(values)
+    if total != total:  # a NaN, or inf + -inf: let numpy find the first NaN
+        return int(np.argmax(q))
+    return values.index(max(values))  # max keeps the first of equals, index finds it
 
 
 def epsilon_greedy(
@@ -177,7 +196,7 @@ def epsilon_greedy(
         if epsilon > 0.0 and rng.random() < epsilon:
             chosen.append(int(rng.integers(len(q))))
         else:
-            chosen.append(int(np.argmax(q)))
+            chosen.append(_argmax(q))
     return tuple(chosen)
 
 
@@ -204,15 +223,10 @@ class Transition:
 
 def td_targets(net: QNetwork, batch: list[Transition], gamma: float) -> np.ndarray:
     """One-step targets r + gamma * max_a' Q(x', a') per transition and group."""
-    x_next = np.stack([t.x_next for t in batch])
-    q_next = _forward_flat(net, x_next)[1]
-    offs = net.group_offsets()
+    q_next = _forward_flat(net, np.array([t.x_next for t in batch]))[1]
+    best = np.maximum.reduceat(q_next, net.starts, axis=1)  # (batch, groups)
     rewards = np.array([t.reward for t in batch])
-    targets = np.empty((len(batch), len(net.group_sizes)))
-    for g in range(len(net.group_sizes)):
-        best = q_next[:, offs[g] : offs[g + 1]].max(axis=1)
-        targets[:, g] = rewards + gamma * best
-    return targets
+    return rewards[:, None] + gamma * best
 
 
 def td_loss_and_grads(
@@ -225,18 +239,18 @@ def td_loss_and_grads(
     Targets are fixed constants (semi-gradient); the mean runs over
     batch entries and groups.
     """
-    x = np.stack([t.x for t in batch])
+    x = np.array([t.x for t in batch])
     n_batch, n_groups = len(batch), len(net.group_sizes)
-    rows = np.arange(n_batch)[:, None]
-    cols = np.array(net.group_offsets()[:-1]) + np.array([t.actions for t in batch])
-
     hidden, q = _forward_flat(net, x)
-    diff = q[rows, cols] - targets
+    actions = np.fromiter(chain.from_iterable(t.actions for t in batch), np.intp, n_batch * n_groups)
+    # Flat index of each chosen label's Q-value in the (batch, labels) array q.
+    chosen = (np.arange(0, q.size, q.shape[1])[:, None] + net.starts
+              + actions.reshape(n_batch, n_groups))
+    diff = q.take(chosen) - targets
     dloss_dq = np.zeros_like(q)
-    dloss_dq[rows, cols] += 2.0 * diff  # each (b, col) once: 0.0 + 2 diff, as a loop would
-    loss = 0.0
-    for sq in (diff * diff).ravel().tolist():  # left to right; Python 3.12's sum() compensates
-        loss += sq
+    dloss_dq.put(chosen, 0.0 + 2.0 * diff)  # each cell once: 0.0 + 2 diff, as a loop would
+    # Accumulate adds left to right; np.sum is pairwise and Python 3.12's sum() compensates.
+    loss = np.cumsum((diff * diff).ravel())[-1]
     scale = 1.0 / (n_batch * n_groups)
     loss *= scale
     dloss_dq *= scale
@@ -312,7 +326,12 @@ class ReplayBuffer:
 
     def sample(self, size: int, rng: np.random.Generator) -> list[Transition]:
         idx = rng.choice(len(self._items), size=size, replace=False)
-        return [self._items[i] for i in idx]
+        return [self._items[i] for i in idx.tolist()]
+
+
+# Caps on the two sizes that allocate an array; README "Learners" says why these.
+MAX_HIDDEN = 4096
+MAX_N_BINS = 10_000
 
 
 @dataclass
@@ -335,6 +354,8 @@ class QNetHyper:
             raise ValueError("batch_size cannot exceed replay_capacity")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+        if self.hidden > MAX_HIDDEN:
+            raise ValueError(f"hidden must be <= {MAX_HIDDEN}")
 
 
 @dataclass
@@ -353,6 +374,8 @@ class TabularHyper:
             raise ValueError("gamma must be in [0, 1)")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
+        if self.n_bins > MAX_N_BINS:
+            raise ValueError(f"n_bins must be <= {MAX_N_BINS}")
         if not self.bin_lo < self.bin_hi:
             raise ValueError("bin_lo must be < bin_hi")
 
@@ -440,7 +463,8 @@ class TabularQAgent(_Learner):
         h = self.hyper
         mean = float(np.mean(x))
         frac = (mean - h.bin_lo) / (h.bin_hi - h.bin_lo)
-        return min(max(int(frac * h.n_bins), 0), h.n_bins - 1)
+        # Clamped before int(), which cannot take the inf a subnormal-wide range gives.
+        return int(min(max(frac * h.n_bins, 0), h.n_bins - 1))
 
     def act(self, x: np.ndarray) -> tuple[int, ...]:
         state = self.discretize(np.asarray(x, dtype=float))

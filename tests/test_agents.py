@@ -1,6 +1,13 @@
+import hashlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gridduel import agents
 from gridduel.agents import (
     ATTACKER,
     DEFAULT_C,
@@ -18,6 +25,7 @@ from gridduel.agents import (
     TrainingDiverged,
     Transition,
     boundary_offset,
+    epsilon_greedy,
     forward,
     init_qnetwork,
     reward,
@@ -283,6 +291,90 @@ def test_td_loss_and_grads_bits_match_per_cell_loop(seed):
     assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
 
 
+# Ties and signed zeros, with the odd NaN, infinity or extreme value.
+Q_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats()
+LEARNER_BITS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def reference_td_targets(net, batch, gamma):
+    """The per-group loop td_targets replaced with one reduceat."""
+    q_next = agents._forward_flat(net, np.stack([t.x_next for t in batch]))[1]
+    offs = net.group_offsets()
+    rewards = np.array([t.reward for t in batch])
+    targets = np.empty((len(batch), len(net.group_sizes)))
+    for g in range(len(net.group_sizes)):
+        best = q_next[:, offs[g] : offs[g + 1]].max(axis=1)
+        targets[:, g] = rewards + gamma * best
+    return targets
+
+
+@LEARNER_BITS
+@given(data=st.data())
+def test_td_targets_bits_match_per_group_loop(data):
+    group_sizes = tuple(data.draw(st.lists(st.sampled_from([3, 5]), min_size=1, max_size=8)))
+    n_batch = data.draw(st.integers(1, 40))
+    # A few distinct values spread over the whole array, so most groups hold ties.
+    pool = np.array(data.draw(st.lists(Q_VALUES, min_size=1, max_size=6)))
+    pick = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    q_next = pool[pick.integers(len(pool), size=(n_batch, sum(group_sizes)))]
+    rewards = pool[pick.integers(len(pool), size=n_batch)].tolist()
+    gamma = data.draw(st.sampled_from([0.0, 0.5, 0.95]))
+    net = init_qnetwork(2, group_sizes, hidden=3, rng=np.random.default_rng(0))
+    batch = [Transition(np.zeros(2), (0,) * len(group_sizes), r, np.zeros(2)) for r in rewards]
+    # Both sides see the drawn Q-values, so ties and signed zeros reach the max.
+    with mock.patch.object(agents, "_forward_flat", lambda net, x: (None, q_next)), \
+            np.errstate(invalid="ignore", over="ignore"):  # 0 * inf, and inf - inf
+        got, want = td_targets(net, batch, gamma), reference_td_targets(net, batch, gamma)
+    # Every NaN counts as one NaN: numpy's add loops keep either operand's NaN, by
+    # length and alignment, and a NaN target makes td_update raise before any update.
+    assert got.shape == want.shape
+    assert np.where(np.isnan(got), np.nan, got).tobytes() == np.where(np.isnan(want), np.nan, want).tobytes()
+
+
+def reference_epsilon_greedy(q_groups, epsilon, rng):
+    """epsilon_greedy with np.argmax for every greedy pick."""
+    chosen = []
+    for q in q_groups:
+        if epsilon > 0.0 and rng.random() < epsilon:
+            chosen.append(int(rng.integers(len(q))))
+        else:
+            chosen.append(int(np.argmax(q)))
+    return tuple(chosen)
+
+
+@LEARNER_BITS
+@given(data=st.data())
+def test_epsilon_greedy_matches_argmax_and_rng_use(data):
+    q_groups = [np.array(data.draw(st.lists(Q_VALUES, min_size=size, max_size=size)))
+                for size in data.draw(st.lists(st.sampled_from([3, 5]), min_size=1, max_size=10))]
+    epsilon = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    seed = data.draw(st.integers(0, 2**32))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert epsilon_greedy(q_groups, epsilon, rng) == reference_epsilon_greedy(q_groups, epsilon, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_epsilon_greedy_nan_rows_pick_the_first_nan():
+    nan, inf = float("nan"), float("inf")
+    rows = [[1.0, nan, 2.0], [nan, nan, 0.0], [inf, -inf, 0.0, nan, 3.0], [inf, -inf, 0.0]]
+    q_groups = [np.array(row) for row in rows]
+    assert epsilon_greedy(q_groups, 0.0, np.random.default_rng(0)) == (1, 0, 3, 0)
+
+
+@LEARNER_BITS
+@given(n_pushed=st.integers(1, 120), capacity=st.integers(1, 80), data=st.data())
+def test_replay_sample_returns_the_indexed_transitions_in_order(n_pushed, capacity, data):
+    buf = ReplayBuffer(capacity)
+    for i in range(n_pushed):
+        buf.push(Transition(np.array([float(i)]), (0,), 0.0, np.zeros(1)))
+    size = data.draw(st.integers(1, len(buf)))
+    seed = data.draw(st.integers(0, 2**32))
+    got = buf.sample(size, np.random.default_rng(seed))
+    idx = np.random.default_rng(seed).choice(len(buf), size=size, replace=False)
+    want = [buf._items[int(i)] for i in idx]
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
 def test_td_update_converges_to_reward_on_constant_transition(rng):
     net = init_qnetwork(2, (1,), hidden=8, rng=rng)
     x = np.array([0.5, -0.2])
@@ -356,6 +448,41 @@ def test_qnet_agent_epsilon_follows_schedule():
     assert agent.epsilon == 0.05
 
 
+# poc's attacker (six taps) and defender (four generators, six loads) action groups.
+POC_GROUP_SIZES = ((3,) * 6, (5,) * 4 + (3,) * 6)
+POC_LEARNER_DIGEST = "6e33f8591cf7521ff7fe0d29694368921d10f7c0a6627d89c9467a821a8cd622"
+
+
+def test_poc_shaped_learners_keep_their_bits():
+    """Two poc-shaped Q-net learners, batch 32, alternate for 150 seeded steps.
+
+    One sha256 covers every chosen action, the repr of every loss ``learn``
+    returns and the final parameters' bytes, so any change to the bits of
+    ``act``, replay sampling or the TD update fails here.  Epsilon decays over
+    60 steps so both the explore and the greedy branch run, and the buffer of
+    64 wraps.
+    """
+    hyper = QNetHyper(replay_capacity=64, batch_size=32, hidden=32,
+                      epsilon=EpsilonSchedule(decay_steps=60))
+    learners = [QNetAgent(sizes, 14, hyper, np.random.default_rng(seed))
+              for seed, sizes in enumerate(POC_GROUP_SIZES, start=5)]
+    world = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    x = world.uniform(0.9, 1.1, size=14)
+    losses = []
+    for step in range(150):
+        agent = learners[step % 2]
+        digest.update(repr(agent.act(x)).encode())
+        x = world.uniform(0.9, 1.1, size=14)
+        losses.append(agent.learn(float(world.normal()), x))
+        digest.update(repr(losses[-1]).encode())
+    for agent in learners:
+        for param in agent.net.parameters():
+            digest.update(param.tobytes())
+    assert sum(loss is not None for loss in losses) == 2 * (75 - 32 + 1)
+    assert digest.hexdigest() == POC_LEARNER_DIGEST
+
+
 # -- tabular learner -----------------------------------------------------------------
 
 
@@ -410,6 +537,27 @@ def test_tabular_agent_discretizes_mean_voltage():
     assert agent.discretize(np.array([1.15])) == 20
     assert agent.discretize(np.array([1.0])) == 10
     assert agent.discretize(np.array([0.0])) == 0  # clamped below range
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(lo=st.floats(-2.0, 2.0), width=st.floats(5e-324, 4.0), n_bins=st.integers(1, 10_000),
+       mean=st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+def test_discretize_keeps_every_bin_int_could_compute(lo, width, n_bins, mean):
+    hi = lo + width
+    assume(lo < hi)
+    agent = TabularQAgent((3,), TabularHyper(n_bins=n_bins, bin_lo=lo, bin_hi=hi), np.random.default_rng(0))
+    got = agent.discretize(np.array([mean]))
+    frac = (mean - lo) / (hi - lo)
+    if math.isinf(frac * n_bins):  # int() raised here before the clamp moved ahead of it
+        assert got == (n_bins - 1 if frac > 0 else 0)
+    else:
+        assert got == min(max(int(frac * n_bins), 0), n_bins - 1)
+
+
+def test_subnormal_bin_range_clamps_to_the_edge_bins():
+    agent = TabularQAgent((3,), TabularHyper(bin_lo=0.0, bin_hi=5e-324), np.random.default_rng(0))
+    assert agent.discretize(np.array([1.0])) == 20
+    assert agent.discretize(np.array([-1.0])) == 0
 
 
 def test_tabular_agent_act_learn_contract(rng):

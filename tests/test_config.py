@@ -303,6 +303,7 @@ def _reward(**values):
     "path, edit, message",
     [
         (TWO_BUS, _learner_edit(n_bins=0), r"learner: n_bins must be >= 1"),
+        (TWO_BUS, _learner_edit(n_bins=10**12), r"learner: n_bins must be <= 10000"),  # a 21.8 TiB table
         (TWO_BUS, _reward(sigma=1e-200), r"reward: sigma must be > 0"),  # sigma**2 underflows to 0
         (TWO_BUS, _reward(sigma=1e200), r"reward: sigma must be > 0"),  # sigma**2 overflows
         (TWO_BUS, _reward(sigma=1e200, c=0.5), r"reward: sigma must be > 0"),
@@ -314,6 +315,7 @@ def _reward(**values):
          r"reward: sigma gives a default c of 1\.0, outside \(0, 1\); give 'c' explicitly"),
         (TWO_BUS, _reward(c=None), r"reward\.c: expected a number"),  # null is not "take the default"
         (POC, _learner_edit(hidden=0), r"learner: hidden must be >= 1"),
+        (POC, _learner_edit(hidden=10**12), r"learner: hidden must be <= 4096"),  # 102 TiB of weights
         (POC, _learner_edit(learning_rate=-0.001), r"learner: learning_rate must be >= 0"),
         (POC, _learner_edit(batch_size=0), r"learner: batch_size must be >= 1"),
         (TWO_BUS, _learner_edit(bin_lo=1.2), r"learner: bin_lo must be < bin_hi"),
@@ -322,9 +324,9 @@ def _reward(**values):
         (POC, _learner_edit(epsilon_end=-0.1), r"learner: epsilon_end must be in \[0, 1\]"),
         (TWO_BUS, _learner_edit(epsilon_decay_steps=-1), r"learner: epsilon_decay_steps must be >= 0"),
     ],
-    ids=["n_bins_zero", "sigma_squared_underflows", "sigma_squared_overflows",
+    ids=["n_bins_zero", "n_bins_huge", "sigma_squared_underflows", "sigma_squared_overflows",
          "sigma_squared_overflows_with_c", "negative_mu", "mu_squared_overflows",
-         "default_c_underflows", "default_c_rounds_to_one", "null_c", "hidden_zero", "negative_learning_rate", "batch_size_zero", "bin_lo_above_bin_hi",
+         "default_c_underflows", "default_c_rounds_to_one", "null_c", "hidden_zero", "hidden_huge", "negative_learning_rate", "batch_size_zero", "bin_lo_above_bin_hi",
          "alpha_above_one", "epsilon_start_above_one", "negative_epsilon_end", "negative_decay_steps"],
 )
 def test_out_of_range_hyperparameters_exit_1(path, edit, message, tmp_path, monkeypatch, capsys):
@@ -336,6 +338,16 @@ def test_out_of_range_hyperparameters_exit_1(path, edit, message, tmp_path, monk
     assert main(["run", "--config", str(config)]) == 1
     assert re.search(r"agents\[0\]\." + message, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_subnormal_bin_range_runs(tmp_path, monkeypatch):
+    """A bin range 5e-324 wide puts every mean voltage past its top bin, not into int(inf)."""
+    doc = json.loads(TWO_BUS.read_text(encoding="utf-8"))
+    doc["agents"][0]["learner"].update(bin_lo=0.0, bin_hi=5e-324)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
 
 
 @pytest.mark.parametrize("sigma", [1e-5, 1e100])
