@@ -1,4 +1,4 @@
-"""Strict JSON readers, the field-driven codec and the JSON text every document goes through.
+"""Strict JSON readers, the field-driven codec and the JSON writer every document goes through.
 
 ``decode`` builds a dataclass from a JSON object and ``encode`` writes it
 back.  A key is a field's name or its ``key`` metadata (``"class"``, or
@@ -13,7 +13,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
-import itertools
 import json
 import sys
 import typing
@@ -38,7 +37,9 @@ def json_object(text: str, ctx: str) -> dict:
     try:
         doc = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
+        raise ConfigError(f"{ctx}: parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:  # the parser recurses once per nested array or object
+        raise ConfigError(f"{ctx}: nested too deeply") from e
     return as_dict(doc, ctx)
 
 
@@ -193,6 +194,9 @@ def encode(obj, prefix: str = "") -> dict:
     return doc
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
 def plain(value):
     """value as JSON-ready lists, objects and scalars."""
     if isinstance(value, np.ndarray):
@@ -200,6 +204,8 @@ def plain(value):
     if isinstance(value, tuple):
         if hasattr(value, "_asdict"):  # a NamedTuple is written as an object
             return plain(value._asdict())
+        if set(map(type, value)) <= _SCALARS:  # a series: nothing in it to convert
+            return list(value)
         return [plain(item) for item in value]
     if isinstance(value, dict):
         return {key: plain(item) for key, item in value.items()}
@@ -208,12 +214,60 @@ def plain(value):
     return value
 
 
-_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
-_BATCH = 4096  # JSON chunks, a few bytes each, joined per piece
+_escape = json.encoder.encode_basestring  # the C string escaper json.dumps uses without ensure_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def json_pieces(doc) -> typing.Iterator[str]:
-    """The text of json.dumps(doc, indent=2, ensure_ascii=False) + "\n", _BATCH chunks a piece."""
-    chunks = itertools.chain(_JSON.iterencode(doc), ["\n"])
-    while batch := list(itertools.islice(chunks, _BATCH)):
-        yield "".join(batch)
+    """The text of json.dumps(doc, indent=2, ensure_ascii=False) + "\n", one piece per top-level
+    key and one per object in an array under it (a run log's steps), so it never exists whole."""
+    if not isinstance(doc, dict) or not doc:
+        yield _text(doc, "\n") + "\n"
+        return
+    opening = "{"
+    for key, value in doc.items():
+        head = opening + "\n  " + _escape(key) + ": "
+        opening = ","
+        if isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
+            yield head + "["
+            lead = "\n    "
+            for item in value:
+                yield lead + _text(item, "\n    ")
+                lead = ",\n    "
+            yield "\n  ]"
+        else:
+            yield head + _text(value, "\n  ")
+    yield "\n}\n"
+
+
+def _text(value, nl: str) -> str:
+    """value as JSON text; nl is the newline and indent of the line that closes it."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_escape(k) + ": " + _text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        sep = "," + inner
+        if isinstance(value[0], float):
+            try:
+                text = sep.join(map(float.__repr__, value))
+            except TypeError:  # not every item is a float: write item by item
+                text = "n"
+            if "n" not in text:  # and no nan or inf to rename
+                return "[" + inner + text + nl + "]"
+        return "[" + inner + sep.join([_text(v, inner) for v in value]) + nl + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -44,6 +44,10 @@ GRID_BUILDERS = {"arl_poc_grid": arl_poc_grid}
 # A learner `kind` picks its hyperparameter class.
 _HYPER = {QNET: QNetHyper, TABULAR: TabularHyper}
 
+# Steps in one run (rounds x steps_per_turn x agents). The run log keeps every step
+# in memory, about 0.95 KB each on two_bus and 1.6 KB on poc, so 10**7 steps is 10 GB or more.
+MAX_STEPS = 10**7
+
 
 # -- typed config ---------------------------------------------------------------
 
@@ -119,6 +123,9 @@ class ExperimentConfig:
             raise ConfigError("schedule.rounds: must be >= 0")
         if self.steps_per_turn < 1:
             raise ConfigError("schedule.steps_per_turn: must be >= 1")
+        if self.rounds * self.steps_per_turn * len(self.agents) > MAX_STEPS:
+            raise ConfigError(f"schedule: rounds x steps_per_turn x agents must be <= {MAX_STEPS}; got "
+                              f"{self.rounds} x {self.steps_per_turn} x {len(self.agents)}")
         if isinstance(self.grid_source, str) and self.grid_source not in GRID_BUILDERS:
             raise ConfigError(f"grid: unknown grid token {self.grid_source!r}")
         grid = self.build_grid()  # a GridModel checks itself when built

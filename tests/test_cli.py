@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gridduel.config
 from gridduel.cli import main
 from gridduel.config import fixture_path
 
@@ -94,10 +95,14 @@ def test_run_records_effective_values_in_metrics(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "override, field",
-    [(["--seed", "-1"], "seed"), (["--seed", str(2**64)], "seed"), (["--rounds", "-5"], "schedule.rounds")],
+    [(["--seed", "-1"], "seed"), (["--seed", str(2**64)], "seed"), (["--rounds", "-5"], "schedule.rounds"),
+     (["--rounds", "11"], "schedule")],  # two_bus has one agent: one step above the cap set below
 )
 def test_run_rejects_invalid_overrides(tmp_path, monkeypatch, capsys, override, field):
     monkeypatch.chdir(tmp_path)
+    # A cap of 10 steps, so that a missing check runs 11 steps and fails, not 10**7 steps and 10 GB;
+    # the config row steps_per_turn_huge checks the real cap.
+    monkeypatch.setattr(gridduel.config, "MAX_STEPS", 10)
     assert main(["run", "--config", TWO_BUS, *override]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "out").exists()
@@ -258,6 +263,11 @@ def _repeated(**first):
     return edit
 
 
+def _deep(doc):
+    """An array nested 100 000 deep, far past the parser's recursion limit."""
+    return "[" * 100_000 + "]" * 100_000
+
+
 def _without(*keys):
     def edit(doc):
         for key in keys:
@@ -308,6 +318,13 @@ VALIDATE = ["validate", "--config"]
         ("config", VALIDATE, _inner("schedule", lambda d: d.update(rounds="3")),
          r"config\.schedule\.rounds: expected an integer"),
         ("config", VALIDATE, _repeated(seed=1), r"config: duplicate key\(s\) \['seed'\]"),
+        ("config", VALIDATE, _inner("schedule", lambda d: d.update(steps_per_turn=2**70)),
+         r"schedule: rounds x steps_per_turn x agents must be <= 10000000; got 2 x 1180591620717411303424 x 1$"),
+        ("config", VALIDATE, lambda doc: "{not json", r"config: parse error at line 1 column 2: "),
+        ("config", VALIDATE, _deep, r"config: nested too deeply$"),
+        ("run_log", ["metrics", "--log"], _deep, r"run_log: nested too deeply$"),
+        ("metrics", PLOT, _deep, r"metrics: nested too deeply$"),
+        ("metrics", ASYMMETRY, _deep, r"metrics: nested too deeply$"),
         ("metrics", PLOT, _without("mean_voltage"), r"metrics: missing required key 'mean_voltage'"),
         ("metrics", PLOT, _edited(mean_voltage=[1.0, None]), r"metrics\.mean_voltage: expected an array of numbers"),
         ("metrics", PLOT, _edited(mean_voltage=[1.0, float("nan"), 1.02]),
@@ -330,7 +347,8 @@ VALIDATE = ["validate", "--config"]
          "boolean_voltage", "short_voltage_row", "long_angle_row", "string_step_time", "numeric_label",
          "nan_reward", "unknown_step_key",
          "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
-         "unknown_schedule_key", "string_rounds", "config_duplicate_key", "plot_without_series", "plot_null_sample", "plot_nan_sample",
+         "unknown_schedule_key", "string_rounds", "config_duplicate_key", "steps_per_turn_huge", "config_not_json", "config_deep",
+         "run_log_deep", "plot_deep", "asymmetry_deep", "plot_without_series", "plot_null_sample", "plot_nan_sample",
          "plot_steps_not_array", "plot_overflowing_range", "plot_constant_huge_series",
          "plot_empty_series",
          "plot_unknown_agent",

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -236,6 +237,27 @@ def test_streamed_writers_match_the_one_shot_text(tmp_path, long_log):
     }
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+
+# JSON values for the emitter's oracle: every scalar kind, with the floats, integers
+# and characters whose text is easy to get wrong, in nested and empty containers.
+_JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308])
+_JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€😀a') | st.characters(), max_size=6)
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**80, 2**80) | _JSON_FLOATS | _JSON_TEXT)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(_JSON_FLOATS, max_size=4) | st.lists(_JSON_FLOATS, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(doc=_JSON_VALUES | st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5))
+def test_json_pieces_is_the_one_shot_text(doc):
+    """The emitter's pieces join to json.dumps's text for any JSON value, NaN and infinities included."""
+    assert "".join(json_pieces(doc)) == _one_shot_json(doc)
 
 
 def _traced_peak(write) -> int:
