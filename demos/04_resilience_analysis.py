@@ -18,7 +18,7 @@ from gridduel import (
     check_asymmetry_series,
     classify_resilience_phases,
     initial_world,
-    operational_phase,
+    operational_phases,
     system_performance,
 )
 
@@ -30,12 +30,14 @@ def tap_actions(label):
 
 script = [("hold", 4), ("decrement", 8), ("hold", 4), ("increment", 8), ("hold", 6)]
 p_series = []
-phases = []
+solutions = []
 for label, repeats in script:
     for _ in range(repeats):
         world = apply_actions(world, tap_actions(label))
         p_series.append(system_performance(world, cfg))
-        phases.append(operational_phase(world.solution.v_pu, world.solution.converged, cfg))
+        solutions.append(world.solution)
+# One operating state per step, from the (steps, buses) voltage matrix.
+phases = operational_phases([s.v_pu for s in solutions], [s.converged for s in solutions], cfg)
 
 print("step  p(m_t)  operating state")
 for t, (p, phase) in enumerate(zip(p_series, phases)):

@@ -40,11 +40,6 @@ def boundary_offset(sigma: float, deviation: float = 0.05) -> float:
 DEFAULT_C = boundary_offset(DEFAULT_SIGMA)
 
 
-def usable_sigma(sigma: float) -> bool:
-    """A bell width the reward can divide by: positive, its square neither 0 nor infinite."""
-    return sigma > 0 and 0 < sigma * sigma < math.inf  # float ** raises on overflow, * gives inf
-
-
 @dataclass(frozen=True)
 class RewardParams:
     """Reward curve of one agent; ``c`` left out puts the zero crossing at 5 % deviation for ``sigma``."""
@@ -57,7 +52,7 @@ class RewardParams:
     def __post_init__(self) -> None:
         if not (self.mu > 0 and self.mu * self.mu < math.inf):  # reward squares x_mean - mu
             raise ValueError("mu must be > 0, with mu**2 finite")
-        if not usable_sigma(self.sigma):
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):  # * gives inf where ** raises
             raise ValueError("sigma must be > 0, with sigma**2 finite and > 0")
         if self.c is None:
             object.__setattr__(self, "c", boundary_offset(self.sigma))
@@ -124,21 +119,14 @@ class QNetwork:
     w2: np.ndarray
     b2: np.ndarray
     group_sizes: tuple[int, ...]
-    _offsets: tuple[int, ...] = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        offsets = (0, *accumulate(self.group_sizes))
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "starts", np.array(offsets[:-1], dtype=np.intp))
+        object.__setattr__(self, "starts", np.array((0, *accumulate(self.group_sizes))[:-1], dtype=np.intp))
 
     @property
     def n_in(self) -> int:
         return self.w1.shape[1]
-
-    def group_offsets(self) -> tuple[int, ...]:
-        """Each group's first output column, then the number of labels."""
-        return self._offsets
 
     def parameters(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -174,8 +162,7 @@ def _forward_flat(net: QNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def forward(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
     """Q-values for one input, split into one array per action group."""
     q = _forward_flat(net, np.asarray(x, dtype=float).reshape(1, -1))[1][0]
-    offs = net.group_offsets()
-    return [q[lo:hi] for lo, hi in zip(offs, offs[1:])]
+    return [q[lo:lo + n] for lo, n in zip(net.starts.tolist(), net.group_sizes)]
 
 
 def _argmax(q: np.ndarray) -> int:
@@ -198,16 +185,6 @@ def epsilon_greedy(
         else:
             chosen.append(_argmax(q))
     return tuple(chosen)
-
-
-def select_actions(
-    net: QNetwork,
-    x: np.ndarray,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """Epsilon-greedy label indices from the network's Q-values for x."""
-    return epsilon_greedy(forward(net, x), epsilon, rng)
 
 
 # -- TD learning --------------------------------------------------------------
@@ -269,13 +246,17 @@ def td_update(
     gamma: float,
     learning_rate: float,
 ) -> float:
-    """One gradient-descent step on the mean batch TD loss; returns the loss."""
-    targets = td_targets(net, batch, gamma)
-    loss, grads = td_loss_and_grads(net, batch, targets)
-    if not math.isfinite(loss):
-        raise TrainingDiverged(f"TD loss is not finite ({loss})")
-    for param, grad in zip(net.parameters(), grads):
-        param -= learning_rate * grad
+    """One gradient-descent step on the mean batch TD loss; returns the loss.
+
+    A diverging update raises TrainingDiverged, not numpy's overflow warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = td_targets(net, batch, gamma)
+        loss, grads = td_loss_and_grads(net, batch, targets)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"TD loss is not finite ({loss})")
+        for param, grad in zip(net.parameters(), grads):
+            param -= learning_rate * grad
     return loss
 
 
@@ -416,7 +397,7 @@ class QNetAgent(_Learner):
 
     def act(self, x: np.ndarray) -> tuple[int, ...]:
         x = np.asarray(x, dtype=float)
-        chosen = select_actions(self.net, x, self.epsilon, self.rng)
+        chosen = epsilon_greedy(forward(self.net, x), self.epsilon, self.rng)
         self._pending = (x, chosen)
         self.step_count += 1
         return chosen

@@ -6,7 +6,7 @@ act only through disjoint actuators, and the round-based scheduler
 interleaves them one turn at a time, re-solving the grid between turns.
 
 The module also hosts the scalar system-performance measure, the
-attack-success predicate, the two phase classifiers (resilience process and
+attack-success phases, the two phase classifiers (resilience process and
 grid operating state) and the control-asymmetry check over a performance
 series.
 """
@@ -160,16 +160,6 @@ def operational_phases(v: np.ndarray, converged: Sequence[bool], cfg: Performanc
     ).tolist()
 
 
-def operational_phase(v_pu: np.ndarray, converged: bool, cfg: PerformanceConfig) -> str:
-    """Operating-state label from bus voltages and solver convergence."""
-    return operational_phases([v_pu], [converged], cfg)[0]
-
-
-def attack_successful(world: WorldState, cfg: PerformanceConfig) -> bool:
-    """True when any hard voltage limit is broken or the grid cannot be solved."""
-    return operational_phase(world.solution.v_pu, world.solution.converged, cfg) in ATTACK_PHASES
-
-
 class PhaseSegment(NamedTuple):
     phase: str
     start: int
@@ -267,6 +257,8 @@ class RunLog:
         # Every per-bus vector has one entry per bus, so the writers and the
         # metrics can treat a log as whole (steps, buses) arrays.
         n_bus = len(self.initial_v_pu)
+        if n_bus == 0:
+            raise ValueError("initial.v_pu: a grid has at least one bus, got 0 values")
         if (n := len(self.initial_theta_rad)) != n_bus:
             raise ValueError(f"initial.theta_rad: expected {n_bus} values, got {n}")
         for i, rec in enumerate(self.steps):

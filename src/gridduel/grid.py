@@ -149,16 +149,19 @@ class GridModel:
                     raise ModelValidationError(
                         f"bus {b.id}: {b.kind} bus needs a positive v_setpoint_pu"
                     )
+        for kind in ("lines", "transformers"):
+            for i, br in enumerate(getattr(self, kind)):
+                if br.from_bus == br.to_bus:
+                    raise ModelValidationError(f"{kind}[{i}]: from_bus equals to_bus")
+                for end in (br.from_bus, br.to_bus):
+                    if not 0 <= end < n:
+                        raise ModelValidationError(f"{kind}[{i}]: bus {end} does not exist")
+                if br.r_pu == 0.0 and br.x_pu == 0.0:
+                    raise ModelValidationError(f"{kind}[{i}]: zero-impedance branch")
         for i, ln in enumerate(self.lines):
-            self._check_endpoints("lines", i, ln.from_bus, ln.to_bus, n)
-            if ln.r_pu == 0.0 and ln.x_pu == 0.0:
-                raise ModelValidationError(f"lines[{i}]: zero-impedance branch")
             if ln.b_shunt_pu < 0:
                 raise ModelValidationError(f"lines[{i}]: b_shunt_pu must be >= 0")
         for i, tr in enumerate(self.transformers):
-            self._check_endpoints("transformers", i, tr.from_bus, tr.to_bus, n)
-            if tr.r_pu == 0.0 and tr.x_pu == 0.0:
-                raise ModelValidationError(f"transformers[{i}]: zero-impedance branch")
             if not all(type(pos) is int for pos in (tr.tap_pos, tr.tap_min, tr.tap_max)):
                 raise ModelValidationError(f"transformers[{i}]: tap_pos, tap_min and tap_max must be integers")
             if not tr.tap_min <= tr.tap_pos <= tr.tap_max:
@@ -188,13 +191,6 @@ class GridModel:
             if not ld.scaling_min <= ld.scaling <= ld.scaling_max:
                 raise ModelValidationError(f"loads[{i}]: scaling outside bounds")
         self._check_connected()
-
-    def _check_endpoints(self, kind: str, i: int, f: int, t: int, n: int) -> None:
-        if f == t:
-            raise ModelValidationError(f"{kind}[{i}]: from_bus equals to_bus")
-        for end in (f, t):
-            if not 0 <= end < n:
-                raise ModelValidationError(f"{kind}[{i}]: bus {end} does not exist")
 
     def _check_connected(self) -> None:
         n = len(self.buses)

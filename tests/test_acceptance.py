@@ -35,7 +35,7 @@ from gridduel.core import (
     check_asymmetry_series,
     classify_resilience_phases,
     initial_world,
-    operational_phase,
+    operational_phases,
     run_experiment,
 )
 from gridduel.grid import arl_poc_grid
@@ -191,13 +191,13 @@ def test_criterion_4_formalism_invariants():
     assert [s.phase for s in classify_resilience_phases(v_shape, cfg)] == [
         "plan", "absorb", "recover", "adapt",
     ]
-    assert operational_phase(np.ones(14), True, cfg) == "normal"
+    assert operational_phases([np.ones(14)], [True], cfg) == ["normal"]
     v = np.ones(14)
     v[3] = 1.07
-    assert operational_phase(v, True, PerformanceConfig()) == "alert"
+    alert = v.copy()
     v[3] = 1.2
-    assert operational_phase(v, True, PerformanceConfig()) == "emergency"
-    assert operational_phase(v, False, PerformanceConfig()) == "blackout"
+    assert operational_phases([alert, v, v], [True, True, False], PerformanceConfig()) == [
+        "alert", "emergency", "blackout"]
 
     ok(4, f"action application commuted on {checked} disjoint pairs; "
           "asymmetry and phase classifiers pass their fixtures")

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import warnings
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -29,7 +31,6 @@ from gridduel.agents import (
     forward,
     init_qnetwork,
     reward,
-    select_actions,
     td_loss_and_grads,
     td_targets,
     td_update,
@@ -150,30 +151,30 @@ def test_select_actions_greedy_argmax(rng):
         w2=np.zeros((5, 2)), b2=np.array([0.1, 0.9, 0.3, -1.0, 0.4]),
         group_sizes=(2, 3),
     )
-    assert select_actions(net, np.zeros(2), 0.0, rng) == (1, 2)
+    assert epsilon_greedy(forward(net, np.zeros(2)), 0.0, rng) == (1, 2)
 
 
 def test_select_actions_tie_breaks_to_lowest_index(rng):
     net = QNetwork(w1=np.zeros((2, 2)), b1=np.zeros(2),
                    w2=np.zeros((4, 2)), b2=np.zeros(4), group_sizes=(2, 2))
-    assert select_actions(net, np.zeros(2), 0.0, rng) == (0, 0)
+    assert epsilon_greedy(forward(net, np.zeros(2)), 0.0, rng) == (0, 0)
 
 
 def test_select_actions_epsilon_one_is_reproducible():
     net = QNetwork(w1=np.zeros((2, 3)), b1=np.zeros(2),
                    w2=np.zeros((6, 2)), b2=np.zeros(6), group_sizes=(3, 3))
-    picks_a = [select_actions(net, np.zeros(3), 1.0, np.random.default_rng(5)) for _ in range(1)]
-    picks_b = [select_actions(net, np.zeros(3), 1.0, np.random.default_rng(5)) for _ in range(1)]
+    picks_a = [epsilon_greedy(forward(net, np.zeros(3)), 1.0, np.random.default_rng(5)) for _ in range(1)]
+    picks_b = [epsilon_greedy(forward(net, np.zeros(3)), 1.0, np.random.default_rng(5)) for _ in range(1)]
     assert picks_a == picks_b
 
 
 def test_select_actions_with_epsilon_zero_ignores_rng_state(rng):
     net = init_qnetwork(3, (3, 3), hidden=4, rng=rng)
     x = np.array([0.2, 0.4, -0.3])
-    a = select_actions(net, x, 0.0, np.random.default_rng(1))
+    a = epsilon_greedy(forward(net, x), 0.0, np.random.default_rng(1))
     untouched = np.random.default_rng(999)
     before = untouched.bit_generator.state
-    b = select_actions(net, x, 0.0, untouched)
+    b = epsilon_greedy(forward(net, x), 0.0, untouched)
     assert a == b
     assert untouched.bit_generator.state == before  # a greedy pick draws nothing
 
@@ -251,7 +252,7 @@ def test_td_gradients_match_finite_differences(seed):
 def reference_td_loss_and_grads(net, batch, targets):
     """The per-cell loop td_loss_and_grads replaced with fancy indexing."""
     x = np.stack([t.x for t in batch])
-    offs = net.group_offsets()
+    offs = (0, *accumulate(net.group_sizes))
     hidden = np.tanh(x @ net.w1.T + net.b1)
     q = hidden @ net.w2.T + net.b2
     dloss_dq = np.zeros_like(q)
@@ -299,7 +300,7 @@ LEARNER_BITS = settings(max_examples=150, derandomize=True, database=None, deadl
 def reference_td_targets(net, batch, gamma):
     """The per-group loop td_targets replaced with one reduceat."""
     q_next = agents._forward_flat(net, np.stack([t.x_next for t in batch]))[1]
-    offs = net.group_offsets()
+    offs = (0, *accumulate(net.group_sizes))
     rewards = np.array([t.reward for t in batch])
     targets = np.empty((len(batch), len(net.group_sizes)))
     for g in range(len(net.group_sizes)):
@@ -400,6 +401,16 @@ def test_td_update_raises_on_nan_loss(rng):
     batch = [Transition(np.ones(2), (0,), float("nan"), np.ones(2))]
     with pytest.raises(TrainingDiverged):
         td_update(net, batch, gamma=0.0, learning_rate=1e-3)
+
+
+def test_td_update_overflow_raises_diverged_without_a_warning(rng):
+    net = init_qnetwork(2, (2,), hidden=4, rng=rng)
+    net.w2[...] = 1e200  # Q-values near 1e199, whose squared error overflows
+    batch = [Transition(np.ones(2), (0,), 0.0, np.ones(2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDiverged):
+            td_update(net, batch, gamma=0.5, learning_rate=1.0)
 
 
 # -- schedules, buffers, agents ----------------------------------------------------

@@ -268,6 +268,14 @@ def _deep(doc):
     return "[" * 100_000 + "]" * 100_000
 
 
+def _no_buses(doc):
+    """Every per-bus vector of the run log emptied."""
+    doc["initial"].update(v_pu=[], theta_rad=[])
+    for step in doc["steps"]:
+        step.update(v_pu=[], theta_rad=[], p_inj_pu=[], q_inj_pu=[])
+    return doc
+
+
 def _without(*keys):
     def edit(doc):
         for key in keys:
@@ -313,6 +321,8 @@ VALIDATE = ["validate", "--config"]
         ("run_log", ["metrics", "--log"], _inner("agents", lambda a: a[0].pop("id")),
          r"run_log\.agents\[0\]: missing required key 'id'"),
         ("run_log", ["metrics", "--log"], _repeated(seed=1), r"run_log: duplicate key\(s\) \['seed'\]"),
+        ("run_log", ["metrics", "--log"], _no_buses,
+         r"run_log: initial\.v_pu: a grid has at least one bus, got 0 values$"),
         ("config", VALIDATE, _inner("schedule", lambda d: d.update(note=1)),
          r"config\.schedule: unknown key\(s\) \['note'\]"),
         ("config", VALIDATE, _inner("schedule", lambda d: d.update(rounds="3")),
@@ -347,6 +357,7 @@ VALIDATE = ["validate", "--config"]
          "boolean_voltage", "short_voltage_row", "long_angle_row", "string_step_time", "numeric_label",
          "nan_reward", "unknown_step_key",
          "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
+         "run_log_without_buses",
          "unknown_schedule_key", "string_rounds", "config_duplicate_key", "steps_per_turn_huge", "config_not_json", "config_deep",
          "run_log_deep", "plot_deep", "asymmetry_deep", "plot_without_series", "plot_null_sample", "plot_nan_sample",
          "plot_steps_not_array", "plot_overflowing_range", "plot_constant_huge_series",

@@ -18,6 +18,7 @@ from gridduel.agents import (
 from gridduel.core import (
     ABSORB,
     ADAPT,
+    ATTACK_PHASES,
     PLAN,
     RECOVER,
     Action,
@@ -28,12 +29,11 @@ from gridduel.core import (
     StepRecord,
     WorldState,
     apply_actions,
-    attack_successful,
     check_asymmetry_series,
     classify_resilience_phases,
     initial_world,
     observe,
-    operational_phase,
+    operational_phases,
     run_experiment,
     system_performance,
 )
@@ -339,37 +339,45 @@ def test_performance_bounds(rng):
         assert (p == 1.0) == bool(np.all(v == 1.0))
 
 
+def phase(v_pu, converged=True):
+    """The operating phase of one row of bus voltages."""
+    return operational_phases([v_pu], [converged], CFG)[0]
+
+
 def test_attack_success_cases(poc_grid):
-    assert not attack_successful(initial_world(poc_grid), CFG)
+    def attack_successful(world):
+        return phase(world.solution.v_pu, world.solution.converged) in ATTACK_PHASES
+
+    assert not attack_successful(initial_world(poc_grid))
     v = np.ones(14)
     v[2] = 1.11
-    assert attack_successful(fake_world(v), CFG)
-    assert attack_successful(fake_world(np.ones(14), converged=False), CFG)
-    assert not attack_successful(fake_world(np.full(14, 1.1)), CFG)  # edge is legal
+    assert attack_successful(fake_world(v))
+    assert attack_successful(fake_world(np.ones(14), converged=False))
+    assert not attack_successful(fake_world(np.full(14, 1.1)))  # edge is legal
 
 
 def test_operational_phase_cases(poc_grid):
     base = initial_world(poc_grid).solution
-    assert operational_phase(base.v_pu, base.converged, CFG) == "normal"
+    assert phase(base.v_pu, base.converged) == "normal"
     v = np.ones(14)
     v[5] = 1.07
-    assert operational_phase(v, True, CFG) == "alert"
+    assert phase(v) == "alert"
     v[5] = 1.2
-    assert operational_phase(v, True, CFG) == "emergency"
-    assert operational_phase(np.ones(14), False, CFG) == "blackout"
+    assert phase(v) == "emergency"
+    assert phase(np.ones(14), False) == "blackout"
 
 
 def test_operational_phase_monotone_in_severity(rng):
     severity = {"normal": 0, "alert": 1, "emergency": 2, "blackout": 3}
     for _ in range(200):
         v = rng.uniform(0.92, 1.08, size=14)
-        before = operational_phase(v, True, CFG)
+        before = phase(v)
         worse = v.copy()
         bus = int(rng.integers(14))
         worse[bus] = 1.0 + np.sign(worse[bus] - 1.0 or 1.0) * (abs(worse[bus] - 1.0) + rng.uniform(0, 0.2))
-        after = operational_phase(worse, True, CFG)
+        after = phase(worse)
         assert severity[after] >= severity[before]
-        assert severity["blackout"] >= severity[operational_phase(worse, True, CFG)]
+        assert severity["blackout"] >= severity[phase(worse)]
 
 
 # -- asymmetry -------------------------------------------------------------------------
