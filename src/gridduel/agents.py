@@ -31,13 +31,9 @@ class TrainingDiverged(RuntimeError):
     """Raised when a learning update produces a non-finite loss."""
 
 
-def boundary_offset(sigma: float, deviation: float = 0.05) -> float:
-    """The ``c`` that puts the reward zero-crossing at ``deviation`` from mu."""
-    return math.exp(-(deviation**2) / (2.0 * sigma**2))
-
-
-# Zero-reward boundary at 5 % mean-voltage deviation for the default width.
-DEFAULT_C = boundary_offset(DEFAULT_SIGMA)
+def boundary_offset(sigma: float) -> float:
+    """The ``c`` that puts the reward zero-crossing at 5 % mean-voltage deviation from mu."""
+    return math.exp(-(0.05**2) / (2.0 * sigma**2))
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,10 @@ class RewardParams:
 
 def reward(params: RewardParams, x_mean: float) -> float:
     """Bell-curve reward of the mean input; negated as a whole for attackers."""
-    bell = math.exp(-((x_mean - params.mu) ** 2) / (2.0 * params.sigma**2)) - params.c
+    try:
+        bell = math.exp(-((x_mean - params.mu) ** 2) / (2.0 * params.sigma**2)) - params.c
+    except OverflowError:  # the square of a far-tail mean (a diverged solve's last point): the bell is 0
+        bell = -params.c
     return bell if params.agent_class == DEFENDER else -bell
 
 
@@ -124,27 +123,17 @@ class QNetwork:
     def __post_init__(self) -> None:
         object.__setattr__(self, "starts", np.array((0, *accumulate(self.group_sizes))[:-1], dtype=np.intp))
 
-    @property
-    def n_in(self) -> int:
-        return self.w1.shape[1]
-
     def parameters(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
-def init_qnetwork(
-    n_in: int,
-    group_sizes: tuple[int, ...],
-    hidden: int,
-    rng: np.random.Generator,
-    init_scale: float = 0.1,
-) -> QNetwork:
-    """Weights uniform in [-init_scale, init_scale], biases zero."""
+def init_qnetwork(n_in: int, group_sizes: tuple[int, ...], hidden: int, rng: np.random.Generator) -> QNetwork:
+    """Weights uniform in [-0.1, 0.1], biases zero."""
     n_labels = sum(group_sizes)  # one Q-value output per label of every group
     return QNetwork(
-        w1=rng.uniform(-init_scale, init_scale, size=(hidden, n_in)),
+        w1=rng.uniform(-0.1, 0.1, size=(hidden, n_in)),
         b1=np.zeros(hidden),
-        w2=rng.uniform(-init_scale, init_scale, size=(n_labels, hidden)),
+        w2=rng.uniform(-0.1, 0.1, size=(n_labels, hidden)),
         b2=np.zeros(n_labels),
         group_sizes=tuple(group_sizes),
     )
@@ -153,8 +142,8 @@ def init_qnetwork(
 def _forward_flat(net: QNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feed-forward on a batch (rows are inputs); returns the hidden layer and the
     (batch, labels of all groups) Q-values."""
-    if x.shape[-1] != net.n_in:
-        raise ValueError(f"input has {x.shape[-1]} features, network expects {net.n_in}")
+    if x.shape[-1] != net.w1.shape[1]:
+        raise ValueError(f"input has {x.shape[-1]} features, network expects {net.w1.shape[1]}")
     hidden = np.tanh(x @ net.w1.T + net.b1)
     return hidden, hidden @ net.w2.T + net.b2
 
@@ -315,14 +304,14 @@ MAX_HIDDEN = 4096
 MAX_N_BINS = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class QNetHyper:
     gamma: float = 0.95
     learning_rate: float = 1e-3
     replay_capacity: int = 1000
     batch_size: int = 32
     hidden: int = 32
-    epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
+    epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule, metadata={"key": "epsilon_"})
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
@@ -339,14 +328,14 @@ class QNetHyper:
             raise ValueError(f"hidden must be <= {MAX_HIDDEN}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TabularHyper:
     alpha: float = 0.1
     gamma: float = 0.95
     n_bins: int = 21
     bin_lo: float = 0.85
     bin_hi: float = 1.15
-    epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
+    epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule, metadata={"key": "epsilon_"})
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -418,9 +407,6 @@ class QTable:
     def __init__(self, n_states: int, group_sizes: tuple[int, ...]):
         self.tables = [np.zeros((n_states, size)) for size in group_sizes]
 
-    def select(self, state: int, epsilon: float, rng: np.random.Generator) -> tuple[int, ...]:
-        return epsilon_greedy([t[state] for t in self.tables], epsilon, rng)
-
     def update(self, state: int, actions: tuple[int, ...], reward_value: float,
                next_state: int, alpha: float, gamma: float) -> None:
         for t, a in zip(self.tables, actions):
@@ -449,7 +435,7 @@ class TabularQAgent(_Learner):
 
     def act(self, x: np.ndarray) -> tuple[int, ...]:
         state = self.discretize(np.asarray(x, dtype=float))
-        chosen = self.table.select(state, self.epsilon, self.rng)
+        chosen = epsilon_greedy([t[state] for t in self.table.tables], self.epsilon, self.rng)
         self._pending = (state, chosen)
         self.step_count += 1
         return chosen

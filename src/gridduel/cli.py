@@ -141,10 +141,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_metrics(path: str) -> dict:
-    return json_object(Path(path).read_text(encoding="utf-8"), "metrics")
-
-
 def _first_step(doc: dict) -> int:
     """Time of the first metrics sample; 0 when the file has no steps."""
     steps = as_list(doc.get("steps", []), "metrics.steps")
@@ -161,7 +157,7 @@ def _series(doc: dict, key: str, ctx: str) -> np.ndarray:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    doc = _load_metrics(args.metrics)
+    doc = json_object(Path(args.metrics).read_text(encoding="utf-8"), "metrics")
     name = args.series
     if name in ("mean_voltage", "p_world"):
         series = _series(doc, name, "metrics")
@@ -170,9 +166,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         by_agent = as_dict(pop(doc, "cumulative_positive_rewards", "metrics"), ctx)
         series = _series(by_agent, name.split(".", 1)[1], ctx)
     else:
-        print(f"error: unknown series {name!r}; use mean_voltage, p_world or "
-              "cumulative_positive_rewards.<agent_id>", file=sys.stderr)
-        return 1
+        raise ConfigError(f"unknown series {name!r}; use mean_voltage, p_world or "
+                          "cumulative_positive_rewards.<agent_id>")
     x_start = _first_step(doc)
     try:
         emit_plot(series, args.out, title=f"{doc.get('name', '')}: {name}",
@@ -184,7 +179,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymmetry(args: argparse.Namespace) -> int:
-    doc = _load_metrics(args.metrics)
+    doc = json_object(Path(args.metrics).read_text(encoding="utf-8"), "metrics")
     p_series = _series(doc, "p_world", "metrics")
     performance = as_dict(pop(doc, "performance", "metrics"), "metrics.performance")
     p_fail = read_float(pop(performance, "p_fail", "metrics.performance"), "metrics.performance.p_fail")

@@ -3,8 +3,10 @@
 ``decode`` builds a dataclass from a JSON object and ``encode`` writes it
 back.  A key is a field's name or its ``key`` metadata (``"class"``, or
 ``"schedule.rounds"`` for the key ``rounds`` of the nested object
-``schedule``); an absent key takes the field's default, and declaration
-order is the canonical key order.  Every violation raises ConfigError
+``schedule``); a key ending in ``_`` (``"epsilon_"``) writes a nested
+dataclass as flat prefixed keys (``epsilon_start``) of the same object.  An
+absent key takes the field's default, and declaration order is the
+canonical key order.  Every violation raises ConfigError
 naming its key path from the document root, e.g. ``run_log.steps[3].v_pu``.
 """
 
@@ -18,8 +20,6 @@ import sys
 import typing
 
 import numpy as np
-
-from .agents import EpsilonSchedule
 
 
 class ConfigError(ValueError):
@@ -146,8 +146,8 @@ def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
                 blocks[block] = as_dict(pop(d, block, ctx), where)
             src = blocks[block]
         key = prefix + key
-        if tp is EpsilonSchedule:  # flat epsilon_start/_end/_decay_steps keys of the learner block
-            kwargs[name] = _take(tp, src, where, f"{key}_", {})
+        if key.endswith("_"):  # a nested dataclass as flat prefixed keys
+            kwargs[name] = _take(tp, src, where, key, {})
         elif key in src:
             kwargs[name] = read(src.pop(key), f"{where}.{key}")
         elif default is dataclasses.MISSING:
@@ -182,11 +182,11 @@ def _reader(tp):
 def encode(obj, prefix: str = "") -> dict:
     """The JSON-ready object of a dataclass; a block is nested where its first field falls."""
     doc: dict = {}
-    for name, block, key, tp, default, _, _ in _fields(type(obj)):
+    for name, block, key, _, default, _, _ in _fields(type(obj)):
         value = getattr(obj, name)
         dst = doc.setdefault(block, {}) if block else doc
-        if tp is EpsilonSchedule:
-            dst.update(encode(value, f"{prefix}{key}_"))
+        if key.endswith("_"):
+            dst.update(encode(value, prefix + key))
         # Optional fields holding their empty default (None, "" or False) are
         # left out; numeric defaults such as 0.0 are written.
         elif not ((default is None or default is False or default == "") and value == default):

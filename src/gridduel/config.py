@@ -182,10 +182,6 @@ class ExperimentConfig:
 # -- parsing --------------------------------------------------------------------
 
 
-def _parse_grid(value, ctx: str) -> str | GridModel:
-    return value if isinstance(value, str) else decode(GridModel, value, ctx)
-
-
 def _parse_agent(raw, ctx: str) -> AgentSpec:
     d = as_dict(raw, ctx)
     agent_id = read_str(pop(d, "id", ctx), f"{ctx}.id")
@@ -246,7 +242,8 @@ def _agent_doc(spec: AgentSpec) -> dict:
     }
 
 
-READERS.update({str | GridModel: _parse_grid, AgentSpec: _parse_agent})
+READERS.update({str | GridModel: lambda raw, ctx: raw if isinstance(raw, str) else decode(GridModel, raw, ctx),
+                AgentSpec: _parse_agent})
 WRITERS[AgentSpec] = _agent_doc
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import agents as agents_mod
-from .agents import ActuatorRef, reward as reward_fn
+from .agents import ActuatorRef, TrainingDiverged, reward as reward_fn
 from .grid import GridModel
 from .powerflow import PowerFlowSolution, solve_newton_raphson
 
@@ -104,21 +104,17 @@ def apply_actions(world: WorldState, actions: Iterable[Action]) -> WorldState:
     application order over disjoint devices cannot matter.  A conflict or an
     unknown label raises before anything is copied or solved.
     """
-    actions = list(actions)
-    touched: set[tuple[str, int]] = set()
-    for a in actions:
-        key = (a.actuator.kind, a.actuator.index)
-        if key in touched:
-            raise ActuatorConflictError(
-                f"two actions target the same device {key[0]}:{key[1]}"
-            )
-        touched.add(key)
     grid = world.grid
+    touched: set[tuple[str, int]] = set()
     taps: dict[int, int] = {}
     setpoints: dict[int, tuple[float, float]] = {}
     scalings: dict[int, float] = {}
     for a in actions:
         ref, label = a.actuator, a.label
+        key = (ref.kind, ref.index)
+        if key in touched:
+            raise ActuatorConflictError(f"two actions target the same device {key[0]}:{key[1]}")
+        touched.add(key)
         move = agents_mod.MOVES[ref.kind].get(label)
         if move is None:
             raise ValueError(f"unknown {ref.kind} action label {label!r}")
@@ -188,9 +184,6 @@ def classify_resilience_phases(
     phase = PLAN if p[0] >= thr else ABSORB
     start = 0
 
-    def close(end: int) -> None:
-        segments.append(PhaseSegment(phase, start, end))
-
     for t in range(1, len(p)):
         nxt: str | None = None
         if phase in (PLAN, ADAPT):
@@ -206,9 +199,9 @@ def classify_resilience_phases(
             elif p[t] < p[t - 1]:
                 nxt = ABSORB
         if nxt is not None:
-            close(t - 1)
+            segments.append(PhaseSegment(phase, start, t - 1))
             phase, start = nxt, t
-    close(len(p) - 1)
+    segments.append(PhaseSegment(phase, start, len(p) - 1))
     return segments
 
 
@@ -310,7 +303,10 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
                 world = apply_actions(world, map(Action, spec.actuators, labels))
                 x_next = observe(world, spec.sensors)
                 r = reward_fn(spec.reward_params(), float(np.mean(x_next)))
-                runner.learn(r, x_next)
+                try:
+                    runner.learn(r, x_next)
+                except TrainingDiverged as e:
+                    raise TrainingDiverged(f"agent {spec.id}: {e} at step {world.t}") from e
                 # The record describes the post-action world: x is the
                 # observation the reward was evaluated on, y the action that
                 # produced this state.

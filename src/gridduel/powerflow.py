@@ -141,33 +141,34 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
     x = _flat_start(grid)
     failure: str | None = None
     evaluations = 0
-    while True:
-        # Every exit below leaves x as the point evaluated here, so s_calc is
-        # the returned solution's injections.
-        unit, vc, ibus, s_calc = _evaluate(ybus, x[n:], x[:n])
-        mis = _mismatch(sched, s_calc, unknowns)
-        evaluations += 1
-        max_mis = float(np.abs(mis).max()) if mis.size else 0.0
-        if not math.isfinite(max_mis):
-            failure = "diverged"
-            break
-        if max_mis <= TOL:
-            break
-        if evaluations > max_iter:
-            failure = "max_iter"
-            break
-        jac = _jacobian(ybus, unit, vc, ibus, positions)
-        try:
-            dx = np.linalg.solve(jac, -mis)
-        except np.linalg.LinAlgError:
-            failure = "singular_jacobian"
-            break
-        x_new = x.copy()
-        x_new[unknowns] += dx
-        if not np.isfinite(x_new).all() or (x_new[n:] <= 0.0).any():
-            failure = "diverged"
-            break
-        x = x_new
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a 'diverged' value, not a warning
+        while True:
+            # Every exit below leaves x as the point evaluated here, so s_calc is
+            # the returned solution's injections.
+            unit, vc, ibus, s_calc = _evaluate(ybus, x[n:], x[:n])
+            mis = _mismatch(sched, s_calc, unknowns)
+            evaluations += 1
+            max_mis = float(np.abs(mis).max()) if mis.size else 0.0
+            if not math.isfinite(max_mis):
+                failure = "diverged"
+                break
+            if max_mis <= TOL:
+                break
+            if evaluations > max_iter:
+                failure = "max_iter"
+                break
+            jac = _jacobian(ybus, unit, vc, ibus, positions)
+            try:
+                dx = np.linalg.solve(jac, -mis)
+            except np.linalg.LinAlgError:
+                failure = "singular_jacobian"
+                break
+            x_new = x.copy()
+            x_new[unknowns] += dx
+            if not np.isfinite(x_new).all() or (x_new[n:] <= 0.0).any():
+                failure = "diverged"
+                break
+            x = x_new
 
     return PowerFlowSolution(
         v_pu=_freeze(x[n:].copy()),  # copies, not views of x: a run log keeps every solution

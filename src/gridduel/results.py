@@ -35,8 +35,7 @@ _AGENT_ROW = "%d,%s,%s,%s,%.17g\n"
 def _write_lines(path: str | Path, pieces: Iterable[str]) -> None:
     """Write the pieces in order, so no output is ever held whole as text."""
     p = Path(path)
-    if p.parent != Path(""):
-        p.parent.mkdir(parents=True, exist_ok=True)
+    p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("w", encoding="utf-8", newline="\n") as f:
         f.writelines(pieces)
 
@@ -91,15 +90,8 @@ def compute_metrics(log: RunLog, cfg: PerformanceConfig) -> MetricsReport:
     p_world = tuple(rec.p_world for rec in log.steps)
     phases = tuple(operational_phases(v, [rec.converged for rec in log.steps], cfg))
 
-    cumulative: dict[str, tuple[int, ...]] = {}
-    for agent in log.agents:
-        count = 0
-        series = []
-        for rec in log.steps:
-            if rec.agent_id == agent.agent_id and rec.reward > 0.0:
-                count += 1
-            series.append(count)
-        cumulative[agent.agent_id] = tuple(series)
+    cumulative = {a.agent_id: tuple(itertools.accumulate(int(rec.agent_id == a.agent_id and rec.reward > 0.0)
+                                                         for rec in log.steps)) for a in log.agents}
 
     # First step outside the hard band or unsolved: the attack-success predicate.
     attack_step = next(
@@ -178,17 +170,15 @@ def emit_plot(
     if not 0.0 < hi - lo < math.inf:
         raise ValueError(f"range [{lo!r}, {hi!r}] has no finite nonzero width to draw")
 
-    plot_left = MARGIN_LEFT
     plot_right = VIEW_W - MARGIN_RIGHT
-    plot_top = MARGIN_TOP
     plot_bottom = VIEW_H - MARGIN_BOTTOM
     span_x = max(len(values) - 1, 1)
 
     def x_px(i: int) -> float:
-        return plot_left + (plot_right - plot_left) * i / span_x
+        return MARGIN_LEFT + (plot_right - MARGIN_LEFT) * i / span_x
 
     def y_px(v: float) -> float:
-        return plot_bottom - (plot_bottom - plot_top) * (v - lo) / (hi - lo)
+        return plot_bottom - (plot_bottom - MARGIN_TOP) * (v - lo) / (hi - lo)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {VIEW_W} {VIEW_H}">',
@@ -199,20 +189,20 @@ def emit_plot(
     for i in range(N_TICKS + 1):
         v = lo + (hi - lo) * i / N_TICKS
         y = y_px(v)
-        out.append(_line(plot_left, f"{y:.3f}", plot_right, f"{y:.3f}", "#dddddd", "1"))
-        out.append(_text(plot_left - 6, f"{y + 4:.3f}", "end", 11, f"{v:.6g}"))
+        out.append(_line(MARGIN_LEFT, f"{y:.3f}", plot_right, f"{y:.3f}", "#dddddd", "1"))
+        out.append(_text(MARGIN_LEFT - 6, f"{y + 4:.3f}", "end", 11, f"{v:.6g}"))
     for i in range(N_TICKS + 1):
         idx = round(i * span_x / N_TICKS)
         x = f"{x_px(idx):.3f}"
         out.append(_line(x, plot_bottom, x, plot_bottom + 5, "#000000", "1"))
         out.append(_text(x, plot_bottom + 18, "middle", 11, str(x_start + idx)))
-    out.append(_line(plot_left, plot_bottom, plot_right, plot_bottom, "#000000", "1.5"))
-    out.append(_line(plot_left, plot_top, plot_left, plot_bottom, "#000000", "1.5"))
+    out.append(_line(MARGIN_LEFT, plot_bottom, plot_right, plot_bottom, "#000000", "1.5"))
+    out.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, plot_bottom, "#000000", "1.5"))
     points = " ".join(f"{x_px(i):.3f},{y_px(v):.3f}" for i, v in enumerate(values))
     out.append(f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{points}"/>')
-    out.append(_text(f"{(plot_left + plot_right) / 2:.1f}", VIEW_H - 8, "middle", 12, x_label))
+    out.append(_text(f"{(MARGIN_LEFT + plot_right) / 2:.1f}", VIEW_H - 8, "middle", 12, x_label))
     if y_label:
-        mid_y = f"{(plot_top + plot_bottom) / 2:.1f}"
+        mid_y = f"{(MARGIN_TOP + plot_bottom) / 2:.1f}"
         out.append(_text(14, mid_y, "middle", 12, y_label, f' transform="rotate(-90 14 {mid_y})"'))
     out.append("</svg>")
     _write_lines(path, (line + "\n" for line in out))

@@ -17,11 +17,13 @@ import pytest
 
 from gridduel.agents import (
     ATTACKER,
-    DEFAULT_C,
+    DEFAULT_SIGMA,
     DEFENDER,
     QTable,
     RewardParams,
     Transition,
+    boundary_offset,
+    epsilon_greedy,
     init_qnetwork,
     reward,
     td_loss_and_grads,
@@ -90,7 +92,7 @@ def test_criterion_2_reward_curve():
     defender = RewardParams(agent_class=DEFENDER)
     attacker = RewardParams(agent_class=ATTACKER)
 
-    assert abs(reward(defender, 1.0) - (1.0 - DEFAULT_C)) < 1e-12
+    assert abs(reward(defender, 1.0) - (1.0 - boundary_offset(DEFAULT_SIGMA))) < 1e-12
 
     for boundary in (0.95, 1.05):
         assert abs(reward(defender, boundary)) < 1e-9
@@ -134,7 +136,7 @@ def test_criterion_3_learner_sanity():
     rng = np.random.default_rng(77)
     state = 0
     for _ in range(10000):
-        (action,) = table.select(state, 0.3, rng)
+        (action,) = epsilon_greedy([t[state] for t in table.tables], 0.3, rng)
         nxt, r = _chain_step(state, action)
         table.update(state, (action,), r, nxt, alpha=0.5, gamma=0.9)
         state = nxt

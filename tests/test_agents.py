@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gridduel import agents
 from gridduel.agents import (
     ATTACKER,
-    DEFAULT_C,
+    DEFAULT_SIGMA,
     DEFENDER,
     LABELS_BY_KIND,
     EpsilonSchedule,
@@ -44,7 +44,7 @@ ATT = RewardParams(agent_class=ATTACKER)
 
 
 def test_defender_reward_at_nominal():
-    assert abs(reward(DEF, 1.0) - (1.0 - DEFAULT_C)) < 1e-12
+    assert abs(reward(DEF, 1.0) - (1.0 - boundary_offset(DEFAULT_SIGMA))) < 1e-12
 
 
 def test_rewards_cross_zero_at_five_percent():
@@ -81,8 +81,8 @@ def test_reward_sign_boundary(rng):
 
 
 def test_boundary_offset_recovers_default():
-    assert boundary_offset(0.03) == DEFAULT_C
-    assert abs(DEFAULT_C - 0.24935220877729620) < 1e-15
+    assert RewardParams().c == boundary_offset(DEFAULT_SIGMA)
+    assert abs(boundary_offset(0.03) - 0.24935220877729620) < 1e-15
 
 
 def test_reward_params_validation():
@@ -438,6 +438,20 @@ def _tap_groups(n=2):
     return (len(LABELS_BY_KIND["transformer"]),) * n
 
 
+def test_replay_buffer_needs_room_for_one_transition():
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        ReplayBuffer(0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: QNetAgent(_tap_groups(), n_in=2, hyper=QNetHyper(), rng=rng),
+    lambda rng: TabularQAgent(_tap_groups(), TabularHyper(), rng),
+], ids=["qnet", "tabular"])
+def test_learn_before_act_raises(make, rng):
+    with pytest.raises(RuntimeError, match=r"learn\(\) called before act\(\)"):
+        make(rng).learn(0.0, np.ones(2))
+
+
 def test_qnet_agent_act_is_deterministic_given_seed():
     def make():
         return QNetAgent(_tap_groups(), n_in=3, hyper=QNetHyper(batch_size=2, replay_capacity=8),
@@ -521,7 +535,7 @@ def test_tabular_agent_recovers_value_iteration_policy():
     rng = np.random.default_rng(2024)
     state = 0
     for _ in range(10000):
-        (action,) = table.select(state, 0.3, rng)
+        (action,) = epsilon_greedy([t[state] for t in table.tables], 0.3, rng)
         nxt, r = _chain_step(state, action)
         table.update(state, (action,), r, nxt, alpha=0.5, gamma=0.9)
         state = nxt

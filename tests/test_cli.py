@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -180,7 +181,35 @@ def test_plot_unknown_series_exits_one(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["plot", "--metrics", "out/two_bus_metrics.json",
                  "--series", "voltage_wobble", "--out", "out/x.svg"]) == 1
-    assert "unknown series" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: unknown series 'voltage_wobble'; use mean_voltage, p_world "
+                                       "or cumulative_positive_rewards.<agent_id>\n")
+    assert not (tmp_path / "out" / "x.svg").exists()
+
+
+def test_huge_finite_load_runs_as_failed_solves(tmp_path, monkeypatch, capsys):
+    # Newton's iterates overflow: each solve must end as a 'diverged' value, with no
+    # numpy warning, and the reward of its far-tail voltage is the bell's floor, -c.
+    doc = json.loads(Path(TWO_BUS).read_text(encoding="utf-8"))
+    doc["grid"]["loads"][0]["p_mw"] = 1e250
+    (tmp_path / "huge.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", "huge.json"]) == 0
+    assert capsys.readouterr().err == ""
+    steps = json.loads((tmp_path / "out" / "two_bus_run_log.json").read_text())["steps"]
+    c = doc["agents"][0]["reward"]["c"]
+    assert [(s["converged"], s["reward"]) for s in steps] == [(False, -c)] * doc["schedule"]["rounds"]
+
+
+def test_diverged_learner_names_the_agent_and_the_step(tmp_path, monkeypatch, capsys):
+    doc = json.loads(Path(POC).read_text(encoding="utf-8"))
+    for agent in doc["agents"]:
+        agent["learner"]["learning_rate"] = 1.0
+    (tmp_path / "lr1.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "lr1.json"]) == 2
+    assert capsys.readouterr().err == "error: agent attacker: TD loss is not finite (inf) at step 745\n"
 
 
 def test_missing_config_file_is_a_runtime_failure(capsys):

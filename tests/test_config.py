@@ -1,11 +1,14 @@
+import ast
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridduel.codec
 from gridduel.agents import ActuatorRef, RewardParams
 from gridduel.cli import main
 from gridduel.config import ConfigError, fixture_path, load_config, load_config_path, save_config
@@ -158,6 +161,14 @@ def test_seed_must_fit_64_bits():
     doc["seed"] = 2**64
     with pytest.raises(ConfigError, match="64-bit"):
         load_doc(doc)
+
+
+@pytest.mark.parametrize("path", [POC, TWO_BUS], ids=["qnet", "tabular"])
+def test_loaded_config_is_hashable_and_its_learners_frozen(path):
+    cfg = load_config_path(path)
+    assert hash(cfg) == hash(load_config_path(path))
+    with pytest.raises(FrozenInstanceError):  # an assignment would sidestep every bound
+        cfg.agents[0].learner.gamma = 1.0
 
 
 def test_empty_agent_list_rejected():
@@ -323,11 +334,14 @@ def _reward(**values):
         (TWO_BUS, _learner_edit(epsilon_start=5), r"learner: epsilon_start must be in \[0, 1\]"),
         (POC, _learner_edit(epsilon_end=-0.1), r"learner: epsilon_end must be in \[0, 1\]"),
         (TWO_BUS, _learner_edit(epsilon_decay_steps=-1), r"learner: epsilon_decay_steps must be >= 0"),
+        (POC, _learner_edit(batch_size=65, replay_capacity=64), r"learner: batch_size cannot exceed replay_capacity"),
+        (TWO_BUS, _learner_edit(gamma=1.0), r"learner: gamma must be in \[0, 1\)"),
     ],
     ids=["n_bins_zero", "n_bins_huge", "sigma_squared_underflows", "sigma_squared_overflows",
          "sigma_squared_overflows_with_c", "negative_mu", "mu_squared_overflows",
          "default_c_underflows", "default_c_rounds_to_one", "null_c", "hidden_zero", "hidden_huge", "negative_learning_rate", "batch_size_zero", "bin_lo_above_bin_hi",
-         "alpha_above_one", "epsilon_start_above_one", "negative_epsilon_end", "negative_decay_steps"],
+         "alpha_above_one", "epsilon_start_above_one", "negative_epsilon_end", "negative_decay_steps",
+         "batch_above_capacity", "tabular_gamma_one"],
 )
 def test_out_of_range_hyperparameters_exit_1(path, edit, message, tmp_path, monkeypatch, capsys):
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -401,9 +415,9 @@ def test_reward_c_defaults_to_five_percent_boundary():
     doc = poc_doc()
     del doc["agents"][0]["reward"]["c"]
     cfg = load_doc(doc)
-    from gridduel.agents import DEFAULT_C
+    from gridduel.agents import DEFAULT_SIGMA, boundary_offset
 
-    assert cfg.agents[0].reward.c == DEFAULT_C
+    assert cfg.agents[0].reward.c == boundary_offset(DEFAULT_SIGMA)
 
 
 def test_custom_sigma_moves_default_boundary():
@@ -462,10 +476,11 @@ def _with_agent(i, **changes):
         (lambda cfg: replace(cfg, agents=cfg.agents[:1]), "allow_single_class"),
         (_with_agent(0, actuators=lambda a: a.actuators + a.actuators[:1]),
          r"agents\[0\]: lists actuator transformer:0 twice"),
+        (lambda cfg: replace(cfg, name=""), "^name: must not be empty$"),
     ],
     ids=["missing_actuator_device", "missing_sensor_bus", "unknown_grid_token", "empty_sensors",
          "non_voltage_sensor", "shared_actuator", "duplicate_agent_id", "single_class",
-         "actuator_listed_twice"],
+         "actuator_listed_twice", "empty_name"],
 )
 def test_python_built_config_is_checked(edit, message):
     """A config built in Python or changed with `replace` goes through the checks that a loaded one does."""
@@ -606,3 +621,11 @@ def test_codec_round_trip_is_canonical(doc, rnd):
     assert load_config(text) == cfg
     assert save_config(load_config(text)) == text
     assert save_config(load_config(json.dumps(_shuffled(doc, rnd)))) == text
+
+
+def test_codec_imports_no_gridduel_module():
+    """The codec is generic: each domain module registers what it needs in it, never the reverse."""
+    tree = ast.parse(Path(gridduel.codec.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.startswith((".", "gridduel"))] == []

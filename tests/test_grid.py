@@ -111,6 +111,25 @@ def test_disconnected_graph_rejected():
         (lambda g: dataclasses.replace(
             g, transformers=(dataclasses.replace(g.transformers[0], tap_pos=2.5),) + g.transformers[1:]),
          "must be integers"),
+        (lambda g: dataclasses.replace(g, s_base_mva=0.0), "s_base_mva must be > 0"),
+        (lambda g: dataclasses.replace(g, buses=()), "grid has no buses"),
+        (lambda g: dataclasses.replace(g, buses=(g.buses[1], g.buses[0]) + g.buses[2:]),
+         "buses must be listed in id order"),
+        (lambda g: dataclasses.replace(g, buses=(g.buses[0], dataclasses.replace(g.buses[1], kind="hub"))
+                                       + g.buses[2:]),
+         "bus 1: unknown kind 'hub'"),
+        (lambda g: _with_first(g, "buses", base_kv=0.0), "bus 0: base_kv must be > 0"),
+        (lambda g: _with_first(g, "buses", v_setpoint_pu=None), "bus 0: slack bus needs a positive v_setpoint_pu"),
+        (lambda g: _with_first(g, "lines", to_bus=0), r"lines\[0\]: from_bus equals to_bus"),
+        (lambda g: _with_first(g, "lines", b_shunt_pu=-0.1), r"lines\[0\]: b_shunt_pu must be >= 0"),
+        (lambda g: _with_first(g, "transformers", tap_step_pu=0.2),
+         r"transformers\[0\]: tap ratio not positive at tap -9"),
+        (lambda g: _with_first(g, "generators", bus=99), r"generators\[0\]: bus 99 does not exist"),
+        (lambda g: _with_first(g, "generators", bus=0), r"generators\[0\]: bus 0 must be a pq bus"),
+        (lambda g: _with_first(g, "generators", p_mw=2.0), r"generators\[0\]: p_mw outside limits"),
+        (lambda g: _with_first(g, "generators", q_mvar=0.5), r"generators\[0\]: q_mvar outside limits"),
+        (lambda g: _with_first(g, "loads", bus=99), r"loads\[0\]: bus 99 does not exist"),
+        (lambda g: _with_first(g, "loads", scaling=2.0), r"loads\[0\]: scaling outside bounds"),
     ],
 )
 def test_validation_rejections(poc_grid, mutate, message):

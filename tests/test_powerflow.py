@@ -1,5 +1,6 @@
 import hashlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -381,7 +382,8 @@ def _moved_pv():
 
 
 # (grid, max_iter) per case; the infeasible two-bus case diverges, poc capped at
-# two Newton steps stops on max_iter.
+# two Newton steps stops on max_iter.  The two huge loads reach the other two
+# exits: a singular Jacobian, and a mismatch that overflows to inf.
 SOLVE_CASES = {
     "poc_moved": (_moved_poc, 20),
     "poc_stressed": (_stressed_poc, 20),
@@ -389,6 +391,8 @@ SOLVE_CASES = {
     "pv": (pv_grid, 20),
     "pv_moved": (_moved_pv, 20),
     "two_bus_infeasible": (lambda: two_bus_grid(p_load_mw=100.0), 20),
+    "two_bus_singular": (lambda: two_bus_grid(p_load_mw=1e50), 20),
+    "two_bus_overflow": (lambda: two_bus_grid(p_load_mw=1e250), 20),
 }
 
 # solution_digest of each case, computed when the solver still assembled the
@@ -402,6 +406,9 @@ SOLVE_PINS = {
     "pv": "3fe63c311e69c332f308db1ba7797036399cb28b5d77e98987c2d106e7344a0a",  # 4 evaluations, None
     "pv_moved": "fee02049e82309b7a58500cf5e90be8b2706c7672541605f56b47d46fefb69b4",  # 5 evaluations, None
     "two_bus_infeasible": "b8bd6fc1ed8205a35a934898e6d916997b1a21964a31c7c3b281b2416fc416c0",  # 2 evaluations, diverged
+    # Pinned later, on the solver that first ran them under np.errstate.
+    "two_bus_singular": "5959860f658ebfede456c3fef86c211b31efe04f43e0382eec65f11e298ce955",  # 3 evaluations, singular_jacobian
+    "two_bus_overflow": "30507fdbd38dbca0663cf60b798f275a05b99ef8796f31cd53d6d3485a17e03e",  # 3 evaluations, diverged
 }
 
 
@@ -417,4 +424,8 @@ def solution_digest(grid, sol) -> str:
 def test_solver_bits_pinned_on_perturbed_grids(case):
     make_grid, max_iter = SOLVE_CASES[case]
     grid = make_grid()
-    assert solution_digest(grid, solve_newton_raphson(grid, max_iter=max_iter)) == SOLVE_PINS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a failing solve is a value, with no numpy overflow warning
+        sol = solve_newton_raphson(grid, max_iter=max_iter)
+    assert np.all(np.isfinite(sol.v_pu))
+    assert solution_digest(grid, sol) == SOLVE_PINS[case]
