@@ -27,10 +27,6 @@ HOLD = "hold"
 DEFAULT_SIGMA = 0.03
 
 
-class TrainingDiverged(RuntimeError):
-    """Raised when a learning update produces a non-finite loss."""
-
-
 def boundary_offset(sigma: float) -> float:
     """The ``c`` that puts the reward zero-crossing at 5 % mean-voltage deviation from mu."""
     return math.exp(-(0.05**2) / (2.0 * sigma**2))
@@ -237,15 +233,15 @@ def td_update(
 ) -> float:
     """One gradient-descent step on the mean batch TD loss; returns the loss.
 
-    A diverging update raises TrainingDiverged, not numpy's overflow warnings.
+    A non-finite loss is returned with every parameter left untouched, and
+    numpy's overflow warnings are silenced, so a diverging update prints nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         targets = td_targets(net, batch, gamma)
         loss, grads = td_loss_and_grads(net, batch, targets)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(f"TD loss is not finite ({loss})")
-        for param, grad in zip(net.parameters(), grads):
-            param -= learning_rate * grad
+        if math.isfinite(loss):
+            for param, grad in zip(net.parameters(), grads):
+                param -= learning_rate * grad
     return loss
 
 
@@ -351,9 +347,11 @@ class TabularHyper:
 
 
 class _Learner:
-    """What both learners share: group sizes, exploration schedule and the turn ``act`` leaves pending.
+    """What both learners share: group sizes and the exploration schedule.
 
-    ``learn`` completes that turn; each learner defines ``act`` and ``learn`` on its own class.
+    A turn is plain values: ``act(x)`` returns one label index per group, and
+    ``learn(x, chosen, reward, x_next)`` is handed that turn whole.  Each
+    learner defines ``act`` and ``learn`` on its own class.
     """
 
     def __init__(self, group_sizes: tuple[int, ...], hyper: QNetHyper | TabularHyper,
@@ -362,17 +360,10 @@ class _Learner:
         self.hyper = hyper
         self.rng = rng
         self.step_count = 0
-        self._pending: tuple[object, tuple[int, ...]] | None = None
 
     @property
     def epsilon(self) -> float:
         return self.hyper.epsilon.value(self.step_count)
-
-    def _take_pending(self) -> tuple[object, tuple[int, ...]]:
-        if self._pending is None:
-            raise RuntimeError("learn() called before act()")
-        pending, self._pending = self._pending, None
-        return pending
 
 
 class QNetAgent(_Learner):
@@ -385,17 +376,16 @@ class QNetAgent(_Learner):
         self.buffer = ReplayBuffer(hyper.replay_capacity)
 
     def act(self, x: np.ndarray) -> tuple[int, ...]:
-        x = np.asarray(x, dtype=float)
         chosen = epsilon_greedy(forward(self.net, x), self.epsilon, self.rng)
-        self._pending = (x, chosen)
         self.step_count += 1
         return chosen
 
-    def learn(self, reward_value: float, x_next: np.ndarray) -> float | None:
-        x, chosen = self._take_pending()
-        self.buffer.push(Transition(x, chosen, float(reward_value),
+    def learn(self, x: np.ndarray, chosen: tuple[int, ...], reward_value: float,
+              x_next: np.ndarray) -> float | None:
+        """The TD loss of one replay batch; None until the batch fills, or with no action group."""
+        self.buffer.push(Transition(np.asarray(x, dtype=float), chosen, float(reward_value),
                                     np.asarray(x_next, dtype=float)))
-        if len(self.buffer) < self.hyper.batch_size:
+        if not self.group_sizes or len(self.buffer) < self.hyper.batch_size:
             return None
         batch = self.buffer.sample(self.hyper.batch_size, self.rng)
         return td_update(self.net, batch, self.hyper.gamma, self.hyper.learning_rate)
@@ -434,14 +424,12 @@ class TabularQAgent(_Learner):
         return int(min(max(frac * h.n_bins, 0), h.n_bins - 1))
 
     def act(self, x: np.ndarray) -> tuple[int, ...]:
-        state = self.discretize(np.asarray(x, dtype=float))
+        state = self.discretize(x)
         chosen = epsilon_greedy([t[state] for t in self.table.tables], self.epsilon, self.rng)
-        self._pending = (state, chosen)
         self.step_count += 1
         return chosen
 
-    def learn(self, reward_value: float, x_next: np.ndarray) -> None:
-        state, chosen = self._take_pending()
-        next_state = self.discretize(np.asarray(x_next, dtype=float))
-        self.table.update(state, chosen, float(reward_value), next_state,
+    def learn(self, x: np.ndarray, chosen: tuple[int, ...], reward_value: float,
+              x_next: np.ndarray) -> None:
+        self.table.update(self.discretize(x), chosen, float(reward_value), self.discretize(x_next),
                           self.hyper.alpha, self.hyper.gamma)

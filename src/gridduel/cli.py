@@ -1,9 +1,10 @@
 """Command-line front end for reproducible experiments.
 
 Exit codes: 0 on success, 1 when an input fails validation, 2 on runtime
-failures (I/O, diverging training).  The ARL_LOG_LEVEL environment variable
-(error, warn, info, debug; unset or empty means warn, any other value exits 1)
-controls stderr verbosity only; file outputs are never affected by it.
+failures (I/O; diverging training, once the outputs are written).  The
+ARL_LOG_LEVEL environment variable (error, warn, info, debug; unset or empty
+means warn, any other value exits 1) controls stderr verbosity only; file
+outputs are never affected by it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import TrainingDiverged
 from .codec import ConfigError, as_dict, as_list, json_object, json_pieces, numbers, pop, read_float, read_int
 from .config import load_config_path
 from .core import check_asymmetry_series, run_experiment
@@ -103,6 +103,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(f"run complete: steps={len(report.steps)} final_p={final_p:.6g} "
           f"attack_success_step={success} {positives}".rstrip())
+    if run_log.stopped is not None:
+        print(f"error: {run_log.stopped}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -209,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, TrainingDiverged) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - the exit-code contract wants 2, not a traceback

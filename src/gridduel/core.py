@@ -13,13 +13,14 @@ series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import agents as agents_mod
-from .agents import ActuatorRef, TrainingDiverged, reward as reward_fn
+from .agents import ActuatorRef, reward as reward_fn
 from .grid import GridModel
 from .powerflow import PowerFlowSolution, solve_newton_raphson
 
@@ -245,6 +246,7 @@ class RunLog:
     initial_converged: bool = field(metadata={"key": "initial.converged"})
     initial_p_world: float = field(metadata={"key": "initial.p_world"})
     steps: tuple[StepRecord, ...]
+    stopped: str | None = None  # why the run ended before its schedule did
 
     def __post_init__(self) -> None:
         # Every per-bus vector has one entry per bus, so the writers and the
@@ -282,6 +284,8 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     ``steps_per_turn`` turns of observe / act / apply / re-solve / reward /
     learn before the next agent moves.  Everything is driven by generators
     derived from the experiment seed, so identical configs replay exactly.
+    A turn whose TD loss is not finite is recorded and ends the run, with
+    ``stopped`` naming the agent and the step.
     """
     grid = config.build_grid()
     perf = config.performance
@@ -291,40 +295,42 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
         for spec, stream in zip(config.agents, streams)
     ]
 
+    turns = ((spec, runner) for _ in range(config.rounds)
+             for spec, runner in zip(config.agents, runners)
+             for _ in range(config.steps_per_turn))
     world = initial_world(grid)
     init = world
     records: list[StepRecord] = []
-    for _ in range(config.rounds):
-        for spec, runner in zip(config.agents, runners):
-            for _ in range(config.steps_per_turn):
-                chosen = runner.act(observe(world, spec.sensors))
-                labels = tuple(agents_mod.LABELS_BY_KIND[ref.kind][i]
-                               for ref, i in zip(spec.actuators, chosen))
-                world = apply_actions(world, map(Action, spec.actuators, labels))
-                x_next = observe(world, spec.sensors)
-                r = reward_fn(spec.reward_params(), float(np.mean(x_next)))
-                try:
-                    runner.learn(r, x_next)
-                except TrainingDiverged as e:
-                    raise TrainingDiverged(f"agent {spec.id}: {e} at step {world.t}") from e
-                # The record describes the post-action world: x is the
-                # observation the reward was evaluated on, y the action that
-                # produced this state.
-                records.append(
-                    StepRecord(
-                        t=world.t,
-                        agent_id=spec.id,
-                        x=x_next,
-                        y=labels,
-                        reward=r,
-                        p_world=system_performance(world, perf),
-                        v_pu=world.solution.v_pu,
-                        theta_rad=world.solution.theta_rad,
-                        p_inj_pu=world.solution.p_inj_pu,
-                        q_inj_pu=world.solution.q_inj_pu,
-                        converged=world.solution.converged,
-                    )
-                )
+    stopped = None
+    for spec, runner in turns:
+        x = observe(world, spec.sensors)
+        chosen = runner.act(x)
+        labels = tuple(agents_mod.LABELS_BY_KIND[ref.kind][i] for ref, i in zip(spec.actuators, chosen))
+        world = apply_actions(world, map(Action, spec.actuators, labels))
+        x_next = observe(world, spec.sensors)
+        r = reward_fn(spec.reward_params(), float(np.mean(x_next)))
+        loss = runner.learn(x, chosen, r, x_next)
+        # The record describes the post-action world: its x is x_next, the
+        # observation the reward was evaluated on, and y the action that
+        # produced this state.
+        records.append(
+            StepRecord(
+                t=world.t,
+                agent_id=spec.id,
+                x=x_next,
+                y=labels,
+                reward=r,
+                p_world=system_performance(world, perf),
+                v_pu=world.solution.v_pu,
+                theta_rad=world.solution.theta_rad,
+                p_inj_pu=world.solution.p_inj_pu,
+                q_inj_pu=world.solution.q_inj_pu,
+                converged=world.solution.converged,
+            )
+        )
+        if loss is not None and not math.isfinite(loss):
+            stopped = f"agent {spec.id}: TD loss is not finite ({loss}) at step {world.t}"
+            break
 
     return RunLog(
         config_fingerprint=config.fingerprint(),
@@ -342,4 +348,5 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
         initial_converged=init.solution.converged,
         initial_p_world=system_performance(init, perf),
         steps=tuple(records),
+        stopped=stopped,
     )

@@ -24,7 +24,6 @@ from gridduel.agents import (
     RewardParams,
     TabularHyper,
     TabularQAgent,
-    TrainingDiverged,
     Transition,
     boundary_offset,
     epsilon_greedy,
@@ -396,21 +395,26 @@ def test_td_update_keeps_weights_finite(rng):
     assert all(np.all(np.isfinite(p)) for p in net.parameters())
 
 
-def test_td_update_raises_on_nan_loss(rng):
-    net = init_qnetwork(2, (2,), hidden=4, rng=rng)
-    batch = [Transition(np.ones(2), (0,), float("nan"), np.ones(2))]
-    with pytest.raises(TrainingDiverged):
-        td_update(net, batch, gamma=0.0, learning_rate=1e-3)
+def _nan_reward(net):
+    return [Transition(np.ones(2), (0,), float("nan"), np.ones(2))], 0.0, 1e-3
 
 
-def test_td_update_overflow_raises_diverged_without_a_warning(rng):
-    net = init_qnetwork(2, (2,), hidden=4, rng=rng)
+def _overflowing_q(net):
     net.w2[...] = 1e200  # Q-values near 1e199, whose squared error overflows
-    batch = [Transition(np.ones(2), (0,), 0.0, np.ones(2))]
+    return [Transition(np.ones(2), (0,), 0.0, np.ones(2))], 0.5, 1.0
+
+
+@pytest.mark.parametrize("setup, want", [(_nan_reward, "nan"), (_overflowing_q, "inf")],
+                         ids=["nan", "overflow"])
+def test_td_update_returns_a_diverged_loss_and_keeps_every_parameter(rng, setup, want):
+    net = init_qnetwork(2, (2,), hidden=4, rng=rng)
+    batch, gamma, learning_rate = setup(net)
+    before = [param.tobytes() for param in net.parameters()]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TrainingDiverged):
-            td_update(net, batch, gamma=0.5, learning_rate=1.0)
+        loss = td_update(net, batch, gamma=gamma, learning_rate=learning_rate)
+    assert repr(loss) == want
+    assert [param.tobytes() for param in net.parameters()] == before
 
 
 # -- schedules, buffers, agents ----------------------------------------------------
@@ -443,15 +447,6 @@ def test_replay_buffer_needs_room_for_one_transition():
         ReplayBuffer(0)
 
 
-@pytest.mark.parametrize("make", [
-    lambda rng: QNetAgent(_tap_groups(), n_in=2, hyper=QNetHyper(), rng=rng),
-    lambda rng: TabularQAgent(_tap_groups(), TabularHyper(), rng),
-], ids=["qnet", "tabular"])
-def test_learn_before_act_raises(make, rng):
-    with pytest.raises(RuntimeError, match=r"learn\(\) called before act\(\)"):
-        make(rng).learn(0.0, np.ones(2))
-
-
 def test_qnet_agent_act_is_deterministic_given_seed():
     def make():
         return QNetAgent(_tap_groups(), n_in=3, hyper=QNetHyper(batch_size=2, replay_capacity=8),
@@ -462,7 +457,7 @@ def test_qnet_agent_act_is_deterministic_given_seed():
     for x in xs:
         ca, cb = a.act(x), b.act(x)
         assert ca == cb
-        assert a.learn(0.1, x) == b.learn(0.1, x)
+        assert a.learn(x, ca, 0.1, x) == b.learn(x, cb, 0.1, x)
 
 
 def test_qnet_agent_epsilon_follows_schedule():
@@ -497,9 +492,11 @@ def test_poc_shaped_learners_keep_their_bits():
     losses = []
     for step in range(150):
         agent = learners[step % 2]
-        digest.update(repr(agent.act(x)).encode())
-        x = world.uniform(0.9, 1.1, size=14)
-        losses.append(agent.learn(float(world.normal()), x))
+        chosen = agent.act(x)
+        digest.update(repr(chosen).encode())
+        x_next = world.uniform(0.9, 1.1, size=14)
+        losses.append(agent.learn(x, chosen, float(world.normal()), x_next))
+        x = x_next
         digest.update(repr(losses[-1]).encode())
     for agent in learners:
         for param in agent.net.parameters():
@@ -590,6 +587,6 @@ def test_tabular_agent_act_learn_contract(rng):
     x = np.array([1.0, 1.0])
     chosen = agent.act(x)
     assert chosen == (0,)  # all-zero table ties break to index 0
-    agent.learn(1.0, x)
+    agent.learn(x, chosen, 1.0, x)
     # One update with alpha=0.1, gamma=0.95 from zero: Q = 0.1 * (1.0 + 0).
     assert agent.table.tables[0][agent.discretize(x), 0] == pytest.approx(0.1)

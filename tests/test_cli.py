@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import time
@@ -154,6 +155,19 @@ def test_asymmetry_holds_on_nominal_run(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("holds")
 
 
+def test_actionless_qnet_agent_runs_past_a_full_batch(tmp_path, monkeypatch, capsys):
+    # No actuator means no action group and so no TD update, for the Q-net learner as
+    # for the tabular one; 40 rounds run past the step its batch of 32 fills.
+    doc = json.loads(Path(zero_load_config(tmp_path)).read_text(encoding="utf-8"))
+    doc["agents"][0]["learner"] = {"kind": "qnet"}
+    doc["schedule"]["rounds"] = 40
+    (tmp_path / "qnet.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "qnet.json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("run complete: steps=40 ") and captured.err == ""
+
+
 def test_asymmetry_reports_violation(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", POC, "--rounds", "2"]) == 0
@@ -209,7 +223,21 @@ def test_diverged_learner_names_the_agent_and_the_step(tmp_path, monkeypatch, ca
     (tmp_path / "lr1.json").write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", "lr1.json"]) == 2
-    assert capsys.readouterr().err == "error: agent attacker: TD loss is not finite (inf) at step 745\n"
+    captured = capsys.readouterr()
+    assert captured.err == "error: agent attacker: TD loss is not finite (inf) at step 745\n"
+    assert captured.out.startswith("run complete: steps=745 ")
+    # All four files are written; the diverging turn is recorded as the last step.
+    out = tmp_path / "out"
+    with open(out / "poc_grid_log.csv", newline="") as f:
+        assert len(list(csv.reader(f))) == 1 + 745 * 14
+    with open(out / "poc_agent_log.csv", newline="") as f:
+        assert len(list(csv.reader(f))) == 1 + 745
+    run_log = json.loads((out / "poc_run_log.json").read_text(encoding="utf-8"))
+    assert [step["t"] for step in run_log["steps"]] == list(range(1, 746))
+    assert run_log["stopped"] == "agent attacker: TD loss is not finite (inf) at step 745"
+    assert json.loads((out / "poc_metrics.json").read_text(encoding="utf-8"))["steps"][-1] == 745
+    assert main(["metrics", "--log", "out/poc_run_log.json"]) == 0
+    assert capsys.readouterr().out == (out / "poc_metrics.json").read_text(encoding="utf-8")
 
 
 def test_missing_config_file_is_a_runtime_failure(capsys):

@@ -152,7 +152,7 @@ def run_logs(draw):
         agents=tuple(AgentSummary(i, draw(_TEXT), draw(_TEXT)) for i in ids),
         initial_v_pu=draw(bus_vector), initial_theta_rad=draw(bus_vector),
         initial_converged=draw(st.booleans()), initial_p_world=draw(_FLOATS),
-        steps=tuple(draw(st.lists(step, max_size=4))),
+        steps=tuple(draw(st.lists(step, max_size=4))), stopped=draw(st.none() | _TEXT),
     )
 
 
