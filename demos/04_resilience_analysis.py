@@ -10,7 +10,6 @@ checked against the failure threshold the control-asymmetry property uses.
 import numpy as np
 
 from gridduel import (
-    Action,
     ActuatorRef,
     PerformanceConfig,
     apply_actions,
@@ -26,7 +25,7 @@ cfg = PerformanceConfig(p_fail=0.55)
 world = initial_world(arl_poc_grid())
 
 def tap_actions(label):
-    return [Action(ActuatorRef("transformer", i), label) for i in range(6)]
+    return {ActuatorRef("transformer", i): label for i in range(6)}
 
 script = [("hold", 4), ("decrement", 8), ("hold", 4), ("increment", 8), ("hold", 6)]
 p_series = []

@@ -19,7 +19,6 @@ from .config import (
     save_config,
 )
 from .core import (
-    Action,
     PerformanceConfig,
     RunLog,
     apply_actions,

@@ -93,7 +93,12 @@ def read_bool(value, ctx: str) -> bool:
 
 
 def numbers(value, ctx: str) -> np.ndarray:
-    """A flat array of numbers as a float array; one type scan and one numpy pass check it."""
+    """A flat array of numbers as a float array; one type scan and one numpy pass check it.
+
+    Only an array that pass refuses is read item by item: a float as it is (NaN too, as
+    numpy takes it) and anything else through read_float, so an integer beyond int64
+    reads as a scalar would and an error names the element.
+    """
     items = as_list(value, ctx)
     if bool not in map(type, items):  # numpy would read a JSON true among numbers as 1.0
         try:
@@ -102,7 +107,7 @@ def numbers(value, ctx: str) -> np.ndarray:
                 return arr.astype(float, copy=False)
         except ValueError:  # ragged nesting
             pass
-    raise ConfigError(f"{ctx}: expected an array of numbers")
+    return np.array([v if isinstance(v, float) else read_float(v, f"{ctx}[{i}]") for i, v in enumerate(items)])
 
 
 # Readers (raw, ctx) and writers by field type; a type that its fields alone cannot

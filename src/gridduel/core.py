@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,10 +55,6 @@ RECOVER = "recover"
 ADAPT = "adapt"
 
 
-class ActuatorConflictError(ValueError):
-    """Two actions in one application target the same device."""
-
-
 @dataclass(frozen=True)
 class PerformanceConfig:
     p_star: float = 1.0
@@ -71,12 +67,6 @@ class PerformanceConfig:
             raise ValueError("require 0 <= p_fail < p_star <= 1")
         if not self.v_lo < 1.0 < self.v_hi:
             raise ValueError("require v_lo < 1 < v_hi")
-
-
-@dataclass(frozen=True)
-class Action:
-    actuator: ActuatorRef
-    label: str
 
 
 @dataclass(frozen=True)
@@ -97,25 +87,19 @@ def observe(world: WorldState, sensors: Sequence[tuple[int, str]]) -> np.ndarray
     return values
 
 
-def apply_actions(world: WorldState, actions: Iterable[Action]) -> WorldState:
-    """Apply a batch of actions to disjoint devices as one grid copy and re-solve the grid.
+def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str]) -> WorldState:
+    """Apply one label per device as one grid copy and re-solve the grid.
 
     Each move's target is read from the grid before the turn; out-of-range
     targets are clamped at the device limits (degrading to hold), so
-    application order over disjoint devices cannot matter.  A conflict or an
-    unknown label raises before anything is copied or solved.
+    application order over the devices cannot matter.  An unknown label
+    raises before anything is copied or solved.
     """
     grid = world.grid
-    touched: set[tuple[str, int]] = set()
     taps: dict[int, int] = {}
     setpoints: dict[int, tuple[float, float]] = {}
     scalings: dict[int, float] = {}
-    for a in actions:
-        ref, label = a.actuator, a.label
-        key = (ref.kind, ref.index)
-        if key in touched:
-            raise ActuatorConflictError(f"two actions target the same device {key[0]}:{key[1]}")
-        touched.add(key)
+    for ref, label in actions.items():
         move = agents_mod.MOVES[ref.kind].get(label)
         if move is None:
             raise ValueError(f"unknown {ref.kind} action label {label!r}")
@@ -306,7 +290,7 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
         x = observe(world, spec.sensors)
         chosen = runner.act(x)
         labels = tuple(agents_mod.LABELS_BY_KIND[ref.kind][i] for ref, i in zip(spec.actuators, chosen))
-        world = apply_actions(world, map(Action, spec.actuators, labels))
+        world = apply_actions(world, dict(zip(spec.actuators, labels)))
         x_next = observe(world, spec.sensors)
         r = reward_fn(spec.reward_params(), float(np.mean(x_next)))
         loss = runner.learn(x, chosen, r, x_next)

@@ -18,20 +18,26 @@ from gridduel.results import compute_metrics, emit_plot, write_agent_log, write_
 HERE = Path(__file__).parent
 
 
-def main() -> None:
+def write_goldens(directory: Path) -> list[Path]:
+    """Write every golden file into directory; return their paths."""
     text = fixture_path("poc.json").read_text(encoding="utf-8")
-    (HERE / "poc.canonical.json").write_text(text, encoding="utf-8")
+    (directory / "poc.canonical.json").write_text(text, encoding="utf-8")
 
     cfg = replace(load_config(text), rounds=3)
     log = run_experiment(cfg)
     report = compute_metrics(log, cfg.performance)
 
-    write_grid_log(log, HERE / "grid_log.csv")
-    write_agent_log(log, HERE / "agent_log.csv")
-    emit_plot(report.mean_voltage, HERE / "mean_voltage.svg", title="poc: mean_voltage",
+    write_grid_log(log, directory / "grid_log.csv")
+    write_agent_log(log, directory / "agent_log.csv")
+    emit_plot(report.mean_voltage, directory / "mean_voltage.svg", title="poc: mean_voltage",
               x_label="step", y_label="mean_voltage", x_start=report.steps[0])
-    for name in ("poc.canonical.json", "grid_log.csv", "agent_log.csv", "mean_voltage.svg"):
-        print(f"wrote {HERE / name}")
+    return [directory / name for name in ("poc.canonical.json", "grid_log.csv", "agent_log.csv",
+                                          "mean_voltage.svg")]
+
+
+def main() -> None:
+    for path in write_goldens(HERE):
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

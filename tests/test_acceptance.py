@@ -31,7 +31,6 @@ from gridduel.agents import (
 )
 from gridduel.config import fixture_path, load_config, load_config_path, save_config
 from gridduel.core import (
-    Action,
     PerformanceConfig,
     apply_actions,
     check_asymmetry_series,
@@ -44,6 +43,7 @@ from gridduel.grid import arl_poc_grid
 from gridduel.powerflow import compute_jacobian, solve_newton_raphson
 
 from .conftest import TWO_BUS_THETA2, TWO_BUS_V2, cli_env, two_bus_grid, zero_load_grid
+from .golden.regenerate import write_goldens
 from .test_agents import _chain_step, _numeric_gradient, _value_iteration
 from .test_powerflow import fd_jacobian, max_rel_err, random_operating_point
 
@@ -151,6 +151,7 @@ def test_criterion_3_learner_sanity():
 
 
 def _all_single_device_actions(grid):
+    """Every one-device turn on the grid, each as a one-entry {actuator: label} mapping."""
     actions = []
     from gridduel.agents import LABELS_BY_KIND, ActuatorRef
 
@@ -159,7 +160,7 @@ def _all_single_device_actions(grid):
                         ("load", len(grid.loads))):
         for index in range(count):
             for label in LABELS_BY_KIND[kind]:
-                actions.append(Action(ActuatorRef(kind, index), label))
+                actions.append({ActuatorRef(kind, index): label})
     return actions
 
 
@@ -169,14 +170,14 @@ def test_criterion_4_formalism_invariants():
     actions = _all_single_device_actions(grid)
     assert len(actions) == 6 * 3 + 4 * 5 + 6 * 3
 
-    after_one = {i: apply_actions(world, [a]) for i, a in enumerate(actions)}
+    after_one = {i: apply_actions(world, a) for i, a in enumerate(actions)}
     checked = 0
     for i, j in itertools.combinations(range(len(actions)), 2):
         a, b = actions[i], actions[j]
-        if a.actuator == b.actuator:
+        if a.keys() == b.keys():
             continue
-        ab = apply_actions(after_one[i], [b])
-        ba = apply_actions(after_one[j], [a])
+        ab = apply_actions(after_one[i], b)
+        ba = apply_actions(after_one[j], a)
         assert ab.grid == ba.grid
         assert ab.solution.v_pu.tobytes() == ba.solution.v_pu.tobytes()
         assert ab.solution.theta_rad.tobytes() == ba.solution.theta_rad.tobytes()
@@ -283,27 +284,13 @@ def test_criterion_6_byte_identical_across_process_restarts(tmp_path):
 
 
 def test_criterion_7_golden_files(tmp_path):
-    poc_path = fixture_path("poc.json")
-    text = poc_path.read_text(encoding="utf-8")
+    text = fixture_path("poc.json").read_text(encoding="utf-8")
     assert save_config(load_config(text)) == text
-    assert text.encode() == (GOLDEN / "poc.canonical.json").read_bytes()
 
-    from gridduel.results import compute_metrics, emit_plot, write_agent_log, write_grid_log
-
-    cfg = replace(load_config(text), rounds=3)
-    log = run_experiment(cfg)
-    report = compute_metrics(log, cfg.performance)
-
-    grid_csv = tmp_path / "grid.csv"
-    agent_csv = tmp_path / "agent.csv"
-    svg = tmp_path / "mean_voltage.svg"
-    write_grid_log(log, grid_csv)
-    write_agent_log(log, agent_csv)
-    emit_plot(report.mean_voltage, svg, title="poc: mean_voltage",
-              x_label="step", y_label="mean_voltage", x_start=report.steps[0])
-
-    assert grid_csv.read_bytes() == (GOLDEN / "grid_log.csv").read_bytes()
-    assert agent_csv.read_bytes() == (GOLDEN / "agent_log.csv").read_bytes()
-    assert svg.read_bytes() == (GOLDEN / "mean_voltage.svg").read_bytes()
+    written = write_goldens(tmp_path)
+    committed = sorted(p.name for p in GOLDEN.iterdir() if p.is_file() and p.suffix != ".py")
+    assert sorted(p.name for p in written) == committed
+    for path in written:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
     ok(7, "poc.json canonical form, both CSV schemas and the SVG fixture "
           "match their golden bytes")

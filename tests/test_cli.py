@@ -356,13 +356,17 @@ VALIDATE = ["validate", "--config"]
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.pop("v_pu")),
          r"run_log\.steps\[1\]: missing required key 'v_pu'"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].__setitem__(0, "1.0")),
-         r"run_log\.steps\[1\]\.v_pu: expected an array of numbers"),
+         r"run_log\.steps\[1\]\.v_pu\[0\]: expected a number"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].__setitem__(0, True)),
-         r"run_log\.steps\[1\]\.v_pu: expected an array of numbers"),
+         r"run_log\.steps\[1\]\.v_pu\[0\]: expected a number"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].__setitem__(1, [1.0])),
+         r"run_log\.steps\[1\]\.v_pu\[1\]: expected a number"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["v_pu"].pop()),
          r"run_log: steps\[1\]\.v_pu: expected 2 values, got 1"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s["theta_rad"].append(0.0)),
          r"run_log: steps\[1\]\.theta_rad: expected 2 values, got 3"),
+        ("run_log", ["metrics", "--log"], _inner("initial", lambda d: d["theta_rad"].pop()),
+         r"run_log: initial\.theta_rad: expected 2 values, got 1$"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(t="2")),
          r"run_log\.steps\[1\]\.t: expected an integer"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(y=[0])),
@@ -385,6 +389,7 @@ VALIDATE = ["validate", "--config"]
         ("config", VALIDATE, _inner("schedule", lambda d: d.update(rounds="3")),
          r"config\.schedule\.rounds: expected an integer"),
         ("config", VALIDATE, _repeated(seed=1), r"config: duplicate key\(s\) \['seed'\]"),
+        ("config", VALIDATE, _edited(allow_single_class="yes"), r"config\.allow_single_class: expected a boolean$"),
         ("config", VALIDATE, _inner("schedule", lambda d: d.update(steps_per_turn=2**70)),
          r"schedule: rounds x steps_per_turn x agents must be <= 10000000; got 2 x 1180591620717411303424 x 1$"),
         ("config", VALIDATE, lambda doc: "{not json", r"config: parse error at line 1 column 2: "),
@@ -393,7 +398,7 @@ VALIDATE = ["validate", "--config"]
         ("metrics", PLOT, _deep, r"metrics: nested too deeply$"),
         ("metrics", ASYMMETRY, _deep, r"metrics: nested too deeply$"),
         ("metrics", PLOT, _without("mean_voltage"), r"metrics: missing required key 'mean_voltage'"),
-        ("metrics", PLOT, _edited(mean_voltage=[1.0, None]), r"metrics\.mean_voltage: expected an array of numbers"),
+        ("metrics", PLOT, _edited(mean_voltage=[1.0, None]), r"metrics\.mean_voltage\[1\]: expected a number"),
         ("metrics", PLOT, _edited(mean_voltage=[1.0, float("nan"), 1.02]),
          r"metrics\.mean_voltage\[1\]: expected a finite number"),
         ("metrics", PLOT, _edited(steps="1"), r"metrics\.steps: expected an array"),
@@ -411,11 +416,13 @@ VALIDATE = ["validate", "--config"]
         ("metrics", ASYMMETRY, lambda doc: [doc], r"metrics: expected an object"),
     ],
     ids=["run_log_without_agents", "run_log_without_initial", "step_without_v_pu", "string_voltage",
-         "boolean_voltage", "short_voltage_row", "long_angle_row", "string_step_time", "numeric_label",
+         "boolean_voltage", "ragged_voltage", "short_voltage_row", "long_angle_row",
+         "short_initial_angle_row", "string_step_time", "numeric_label",
          "nan_reward", "unknown_step_key",
          "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
          "run_log_without_buses",
-         "unknown_schedule_key", "string_rounds", "config_duplicate_key", "steps_per_turn_huge", "config_not_json", "config_deep",
+         "unknown_schedule_key", "string_rounds", "config_duplicate_key", "string_allow_single_class",
+         "steps_per_turn_huge", "config_not_json", "config_deep",
          "run_log_deep", "plot_deep", "asymmetry_deep", "plot_without_series", "plot_null_sample", "plot_nan_sample",
          "plot_steps_not_array", "plot_overflowing_range", "plot_constant_huge_series",
          "plot_empty_series",

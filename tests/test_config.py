@@ -4,6 +4,7 @@ import re
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -409,6 +410,40 @@ def test_empty_run_log_path_exits_1_before_any_output(tmp_path, monkeypatch, cap
     assert main(["run", "--config", str(config)]) == 1
     assert re.search(r"^error: .*outputs\.run_log_path: must not be empty$", capsys.readouterr().err, re.M)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("first, second, paths", [
+    ("grid_log_path", "agent_log_path", ("out/log.csv", "out/log.csv")),
+    ("metrics_path", "run_log_path", ("out/m.json", "out/m.json")),
+    ("grid_log_path", "agent_log_path", ("out/a.csv", "./out/a.csv")),
+    ("agent_log_path", "run_log_path", ("out/a.json", "out/x/../a.json")),
+], ids=["grid_and_agent_log", "metrics_and_run_log", "dot_prefix", "parent_step"])
+def test_two_outputs_naming_one_file_exit_1_before_any_output(tmp_path, monkeypatch, capsys, first, second, paths):
+    """Two output keys that name one file are rejected with the config; neither output overwrites the other."""
+    doc = json.loads(TWO_BUS.read_text(encoding="utf-8"))
+    doc["outputs"].update(zip((first, second), paths))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config)]) == 1
+    assert re.search(rf"^error: .*outputs\.{second}: names the same file as outputs\.{first}$",
+                     capsys.readouterr().err, re.M)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("items, expected", [([2**63], [2.0**63]), ([1.0, 2**64], [1.0, 2.0**64]),
+                                             ([float("nan"), 2**64], [float("nan"), 2.0**64])])
+def test_numbers_reads_every_integer_a_scalar_reads(items, expected):
+    assert gridduel.codec.numbers(items, "v").tobytes() == np.array(expected).tobytes()
+    assert gridduel.codec.numbers(items[-1:], "v")[0] == gridduel.codec.read_float(items[-1], "v")
+
+
+@pytest.mark.parametrize("items, message", [([[1.0], 2.0], r"v\[0\]: expected a number"),
+                                            ([1.0, 2**1100], r"v\[1\]: expected a finite number"),
+                                            ([0.5, 1, "2"], r"v\[2\]: expected a number")])
+def test_numbers_error_names_the_element(items, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        gridduel.codec.numbers(items, "v")
 
 
 def test_reward_c_defaults_to_five_percent_boundary():

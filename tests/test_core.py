@@ -21,8 +21,6 @@ from gridduel.core import (
     ATTACK_PHASES,
     PLAN,
     RECOVER,
-    Action,
-    ActuatorConflictError,
     AgentSummary,
     PerformanceConfig,
     RunLog,
@@ -102,11 +100,11 @@ def test_observe_degraded_on_failed_solve():
 
 def test_hold_actions_change_nothing(poc_grid):
     world = initial_world(poc_grid)
-    held = apply_actions(world, [
-        Action(ActuatorRef("transformer", 0), "hold"),
-        Action(ActuatorRef("generator", 1), "hold"),
-        Action(ActuatorRef("load", 2), "hold"),
-    ])
+    held = apply_actions(world, {
+        ActuatorRef("transformer", 0): "hold",
+        ActuatorRef("generator", 1): "hold",
+        ActuatorRef("load", 2): "hold",
+    })
     assert held.t == 1
     assert held.grid == world.grid
     assert held.solution.v_pu.tobytes() == world.solution.v_pu.tobytes()
@@ -114,18 +112,18 @@ def test_hold_actions_change_nothing(poc_grid):
 
 def test_tap_increment_lowers_lv_voltage(poc_grid):
     world = initial_world(poc_grid)
-    after = apply_actions(world, [Action(ActuatorRef("transformer", 0), "increment")])
+    after = apply_actions(world, {ActuatorRef("transformer", 0): "increment"})
     assert after.grid.transformers[0].tap_pos == 1
     assert after.solution.v_pu[8] < world.solution.v_pu[8]
 
 
 def test_action_application_commutes_on_disjoint_devices(poc_grid):
     world = initial_world(poc_grid)
-    a = Action(ActuatorRef("transformer", 0), "decrement")
-    b = Action(ActuatorRef("load", 0), "increment")
-    one = apply_actions(apply_actions(world, [a]), [b])
-    other = apply_actions(apply_actions(world, [b]), [a])
-    joint = apply_actions(world, [a, b])
+    a = {ActuatorRef("transformer", 0): "decrement"}
+    b = {ActuatorRef("load", 0): "increment"}
+    one = apply_actions(apply_actions(world, a), b)
+    other = apply_actions(apply_actions(world, b), a)
+    joint = apply_actions(world, a | b)
     assert one.grid == other.grid
     assert one.solution.v_pu.tobytes() == other.solution.v_pu.tobytes()
     assert joint.grid == one.grid
@@ -147,8 +145,7 @@ def poc_worlds(draw):
 
 
 def actions_on(draw, devices):
-    return [Action(ActuatorRef(kind, i), draw(st.sampled_from(LABELS_BY_KIND[kind])))
-            for kind, i in devices]
+    return {ActuatorRef(kind, i): draw(st.sampled_from(LABELS_BY_KIND[kind])) for kind, i in devices}
 
 
 def assert_same_world(a, b):
@@ -165,32 +162,12 @@ def test_disjoint_actions_commute_in_any_order(world, data):
     devices = data.draw(st.lists(st.sampled_from(POC_DEVICES), min_size=1, max_size=8, unique=True))
     actions = actions_on(data.draw, devices)
     joint = apply_actions(world, actions)
-    order = data.draw(st.permutations(actions))
-    assert_same_world(apply_actions(world, order), joint)
+    order = data.draw(st.permutations(list(actions.items())))
+    assert_same_world(apply_actions(world, dict(order)), joint)
     one_by_one = world
-    for a in order:
-        one_by_one = apply_actions(one_by_one, [a])
+    for ref, label in order:
+        one_by_one = apply_actions(one_by_one, {ref: label})
     assert_same_world(one_by_one, joint)
-
-
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(world=poc_worlds(), data=st.data())
-def test_two_actions_on_one_device_conflict_in_any_position(world, data):
-    devices = data.draw(st.lists(st.sampled_from(POC_DEVICES), min_size=1, max_size=8, unique=True))
-    actions = actions_on(data.draw, devices)
-    twice = actions_on(data.draw, [data.draw(st.sampled_from(devices))])[0]
-    at = data.draw(st.integers(0, len(actions)))
-    with pytest.raises(ActuatorConflictError):
-        apply_actions(world, actions[:at] + [twice] + actions[at:])
-
-
-def test_overlapping_actions_rejected(poc_grid):
-    world = initial_world(poc_grid)
-    with pytest.raises(ActuatorConflictError):
-        apply_actions(world, [
-            Action(ActuatorRef("transformer", 3), "increment"),
-            Action(ActuatorRef("transformer", 3), "decrement"),
-        ])
 
 
 @pytest.mark.parametrize("kind, label", [("transformer", "p_inc"), ("generator", "increment"),
@@ -198,20 +175,20 @@ def test_overlapping_actions_rejected(poc_grid):
 def test_unknown_label_rejected_for_its_kind(poc_grid, kind, label):
     world = initial_world(poc_grid)
     with pytest.raises(ValueError, match=f"unknown {kind} action label '{label}'"):
-        apply_actions(world, [Action(ActuatorRef(kind, 0), label)])
+        apply_actions(world, {ActuatorRef(kind, 0): label})
 
 
 def test_clamped_move_degrades_to_hold(poc_grid):
     pinned = poc_grid.with_tap(0, 9)
     world = initial_world(pinned)
-    after = apply_actions(world, [Action(ActuatorRef("transformer", 0), "increment")])
+    after = apply_actions(world, {ActuatorRef("transformer", 0): "increment"})
     assert after.grid == pinned
     assert after.solution.v_pu.tobytes() == world.solution.v_pu.tobytes()
 
 
 def test_apply_resolves_consistently(poc_grid):
     world = initial_world(poc_grid)
-    after = apply_actions(world, [Action(ActuatorRef("generator", 0), "p_inc")])
+    after = apply_actions(world, {ActuatorRef("generator", 0): "p_inc"})
     resolved = solve_newton_raphson(after.grid)
     assert after.solution.v_pu.tobytes() == resolved.v_pu.tobytes()
 
@@ -236,14 +213,14 @@ def poc_grids_near_limits(draw):
 
 def one_label_at_a_time(grid, actions):
     """The grid after ``actions``, one with_* copy per non-hold label, with this test's own steps."""
-    for a in actions:
-        i, label = a.actuator.index, a.label
+    for ref, label in actions.items():
+        i = ref.index
         if label == HOLD:
             continue
-        if a.actuator.kind == "transformer":
+        if ref.kind == "transformer":
             step = TAP_STEP if label == "increment" else -TAP_STEP
             grid = grid.with_tap(i, grid.transformers[i].tap_pos + step)
-        elif a.actuator.kind == "generator":
+        elif ref.kind == "generator":
             dp, dq = {"p_inc": (GEN_P_STEP_MW, 0.0), "p_dec": (-GEN_P_STEP_MW, 0.0),
                       "q_inc": (0.0, GEN_Q_STEP_MVAR), "q_dec": (0.0, -GEN_Q_STEP_MVAR)}[label]
             g = grid.generators[i]
@@ -276,8 +253,8 @@ def test_turn_is_one_copy_equal_to_its_labels_applied_one_at_a_time(grid, data):
     world = WorldState(t=0, grid=grid, solution=None)
     actuators = POC_TURNS[data.draw(st.sampled_from(sorted(POC_TURNS)))]
     holds_only = data.draw(st.booleans())
-    actions = [Action(ref, HOLD if holds_only else data.draw(st.sampled_from(LABELS_BY_KIND[ref.kind])))
-               for ref in actuators]
+    actions = {ref: HOLD if holds_only else data.draw(st.sampled_from(LABELS_BY_KIND[ref.kind]))
+               for ref in actuators}
     with counting_copies_and_solves(world) as calls:
         after = apply_actions(world, actions)
     assert calls == {"copies": 1, "solves": [after.grid]}
@@ -286,7 +263,7 @@ def test_turn_is_one_copy_equal_to_its_labels_applied_one_at_a_time(grid, data):
     assert repr(after.grid) == repr(expected)  # the same bits in every float, -0.0 included
     assert after.grid.buses is grid.buses and after.grid.lines is grid.lines
     for kind, name in DEVICE_FIELDS.items():
-        if all(a.label == HOLD for a in actions if a.actuator.kind == kind):
+        if all(label == HOLD for ref, label in actions.items() if ref.kind == kind):
             assert getattr(after.grid, name) is getattr(grid, name)
     if holds_only:
         assert after.grid is grid
@@ -297,19 +274,12 @@ def test_turn_is_one_copy_equal_to_its_labels_applied_one_at_a_time(grid, data):
 def test_bad_turn_raises_before_any_copy_or_solve(grid, data):
     world = WorldState(t=0, grid=grid, solution=None)
     actuators = POC_TURNS["both"]
-    actions = [Action(ref, data.draw(st.sampled_from(LABELS_BY_KIND[ref.kind]))) for ref in actuators]
-    at = data.draw(st.integers(0, len(actions) - 1))
-    ref = actuators[at]
-    if data.draw(st.booleans()):
-        twice = Action(ref, data.draw(st.sampled_from(LABELS_BY_KIND[ref.kind])))
-        actions.insert(data.draw(st.integers(0, len(actions))), twice)
-        error, message = ActuatorConflictError, "same device"
-    else:
-        foreign = sorted({label for labels in LABELS_BY_KIND.values() for label in labels}
-                         - set(LABELS_BY_KIND[ref.kind]))
-        actions[at] = Action(ref, data.draw(st.sampled_from(foreign)))
-        error, message = ValueError, f"unknown {ref.kind} action label"
-    with counting_copies_and_solves(world) as calls, pytest.raises(error, match=message):
+    actions = {ref: data.draw(st.sampled_from(LABELS_BY_KIND[ref.kind])) for ref in actuators}
+    ref = data.draw(st.sampled_from(actuators))
+    foreign = sorted({label for labels in LABELS_BY_KIND.values() for label in labels}
+                     - set(LABELS_BY_KIND[ref.kind]))
+    actions[ref] = data.draw(st.sampled_from(foreign))
+    with counting_copies_and_solves(world) as calls, pytest.raises(ValueError, match="unknown .* action label"):
         apply_actions(world, actions)
     assert calls == {"copies": 0, "solves": []}
 
@@ -536,8 +506,7 @@ def test_recorded_steps_replay_bit_identically():
     world = initial_world(cfg.build_grid())
     for rec in log.steps:
         spec = spec_by_id[rec.agent_id]
-        actions = [Action(ref, label) for ref, label in zip(spec.actuators, rec.y)]
-        world = apply_actions(world, actions)
+        world = apply_actions(world, dict(zip(spec.actuators, rec.y)))
         assert world.t == rec.t
         assert world.solution.v_pu.tobytes() == rec.v_pu.tobytes()
         assert world.solution.theta_rad.tobytes() == rec.theta_rad.tobytes()
