@@ -399,9 +399,12 @@ class QTable:
 
     def update(self, state: int, actions: tuple[int, ...], reward_value: float,
                next_state: int, alpha: float, gamma: float) -> None:
+        # Python floats, not numpy scalars: the same IEEE operations at a
+        # fraction of the cost, and Q values stay finite, so max equals np.max.
         for t, a in zip(self.tables, actions):
-            target = reward_value + gamma * float(np.max(t[next_state]))
-            t[state, a] += alpha * (target - t[state, a])
+            target = reward_value + gamma * max(t[next_state].tolist())
+            q = t.item(state, a)
+            t[state, a] = q + alpha * (target - q)
 
 
 class TabularQAgent(_Learner):

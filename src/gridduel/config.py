@@ -61,12 +61,12 @@ class OutputPaths:
     run_log_path: str | None = None
 
     def __post_init__(self) -> None:
-        seen: dict[str, str] = {}  # normalised path -> the first key that names it
+        seen: dict[str, str] = {}  # resolved path -> the first key that names it
         for name in ("grid_log_path", "agent_log_path", "metrics_path", "run_log_path"):
             value = getattr(self, name)
             if not value and not (value is None and name == "run_log_path"):  # None: no run log
                 raise ConfigError(f"outputs.{name}: must not be empty")
-            if value is not None and (first := seen.setdefault(os.path.normpath(value), name)) != name:
+            if value is not None and (first := seen.setdefault(os.path.realpath(value), name)) != name:
                 raise ConfigError(f"outputs.{name}: names the same file as outputs.{first}")
 
 

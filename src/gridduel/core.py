@@ -87,13 +87,27 @@ def observe(world: WorldState, sensors: Sequence[tuple[int, str]]) -> np.ndarray
     return values
 
 
-def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str]) -> WorldState:
+def _actuator_state(grid: GridModel) -> tuple:
+    """Every actuator's setting: all that tells apart the grids of one run."""
+    return (tuple([tr.tap_pos for tr in grid.transformers]),
+            tuple([(g.p_mw, g.q_mvar) for g in grid.generators]),
+            tuple([ld.scaling for ld in grid.loads]))
+
+
+def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str],
+                  solutions: dict[tuple, PowerFlowSolution] | None = None) -> WorldState:
     """Apply one label per device as one grid copy and re-solve the grid.
 
     Each move's target is read from the grid before the turn; out-of-range
     targets are clamped at the device limits (degrading to hold), so
     application order over the devices cannot matter.  An unknown label
     raises before anything is copied or solved.
+
+    ``solutions`` memoizes solves by actuator setting, for grids that differ
+    from one base grid only in their actuators: a setting found in it reuses
+    its solution object, failed or not, and a new one is solved and added.
+    Equal keys give equal bits even for 0.0 and -0.0, which
+    ``scheduled_injections_pu`` adds to sums that start at +0.0.
     """
     grid = world.grid
     taps: dict[int, int] = {}
@@ -113,7 +127,10 @@ def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str]) -> Worl
         else:
             scalings[ref.index] = grid.loads[ref.index].scaling + move
     grid = grid.with_targets(transformers=taps, generators=setpoints, loads=scalings)
-    return WorldState(t=world.t + 1, grid=grid, solution=solve_newton_raphson(grid))
+    solutions = {} if solutions is None else solutions
+    if (solution := solutions.get(key := _actuator_state(grid))) is None:
+        solution = solutions[key] = solve_newton_raphson(grid)
+    return WorldState(t=world.t + 1, grid=grid, solution=solution)
 
 
 def system_performance(world: WorldState, cfg: PerformanceConfig) -> float:
@@ -284,13 +301,15 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
              for _ in range(config.steps_per_turn))
     world = initial_world(grid)
     init = world
+    # One solve per distinct actuator setting; the memo dies with the run.
+    solutions = {_actuator_state(grid): world.solution}
     records: list[StepRecord] = []
     stopped = None
     for spec, runner in turns:
         x = observe(world, spec.sensors)
         chosen = runner.act(x)
         labels = tuple(agents_mod.LABELS_BY_KIND[ref.kind][i] for ref, i in zip(spec.actuators, chosen))
-        world = apply_actions(world, dict(zip(spec.actuators, labels)))
+        world = apply_actions(world, dict(zip(spec.actuators, labels)), solutions)
         x_next = observe(world, spec.sensors)
         r = reward_fn(spec.reward_params(), float(np.mean(x_next)))
         loss = runner.learn(x, chosen, r, x_next)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Mapping
 
@@ -255,13 +255,19 @@ class GridModel:
         return self.with_targets(loads={index: scaling})
 
 
-# How with_targets moves one device of each kind to its target.
+# How with_targets moves one device of each kind to its target: a constructor
+# call with every field in declaration order, at half the cost of
+# dataclasses.replace.
 _MOVE_TO = {
-    "transformers": lambda tr, tap_pos: replace(
-        tr, tap_pos=_clamp(operator.index(tap_pos), tr.tap_min, tr.tap_max)),
-    "generators": lambda g, pq: replace(
-        g, p_mw=_clamp(pq[0], g.p_min_mw, g.p_max_mw), q_mvar=_clamp(pq[1], g.q_min_mvar, g.q_max_mvar)),
-    "loads": lambda ld, scaling: replace(ld, scaling=_clamp(scaling, ld.scaling_min, ld.scaling_max)),
+    "transformers": lambda tr, tap_pos: Transformer(
+        tr.from_bus, tr.to_bus, tr.r_pu, tr.x_pu, _clamp(operator.index(tap_pos), tr.tap_min, tr.tap_max),
+        tr.tap_min, tr.tap_max, tr.tap_step_pu),
+    "generators": lambda g, pq: Generator(
+        g.bus, _clamp(pq[0], g.p_min_mw, g.p_max_mw), _clamp(pq[1], g.q_min_mvar, g.q_max_mvar),
+        g.p_min_mw, g.p_max_mw, g.q_min_mvar, g.q_max_mvar),
+    "loads": lambda ld, scaling: Load(
+        ld.bus, ld.p_mw, ld.q_mvar, _clamp(scaling, ld.scaling_min, ld.scaling_max),
+        ld.scaling_min, ld.scaling_max),
 }
 
 

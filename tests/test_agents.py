@@ -473,6 +473,27 @@ POC_GROUP_SIZES = ((3,) * 6, (5,) * 4 + (3,) * 6)
 POC_LEARNER_DIGEST = "6e33f8591cf7521ff7fe0d29694368921d10f7c0a6627d89c9467a821a8cd622"
 
 
+def drive_poc_shaped(learners):
+    """Alternate two learners over 150 seeded steps of random 14-bus observations.
+
+    Returns a sha256 fed with every chosen action and the repr of every loss
+    ``learn`` returns, and the list of those losses.
+    """
+    world = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    x = world.uniform(0.9, 1.1, size=14)
+    losses = []
+    for step in range(150):
+        agent = learners[step % 2]
+        chosen = agent.act(x)
+        digest.update(repr(chosen).encode())
+        x_next = world.uniform(0.9, 1.1, size=14)
+        losses.append(agent.learn(x, chosen, float(world.normal()), x_next))
+        x = x_next
+        digest.update(repr(losses[-1]).encode())
+    return digest, losses
+
+
 def test_poc_shaped_learners_keep_their_bits():
     """Two poc-shaped Q-net learners, batch 32, alternate for 150 seeded steps.
 
@@ -486,23 +507,34 @@ def test_poc_shaped_learners_keep_their_bits():
                       epsilon=EpsilonSchedule(decay_steps=60))
     learners = [QNetAgent(sizes, 14, hyper, np.random.default_rng(seed))
               for seed, sizes in enumerate(POC_GROUP_SIZES, start=5)]
-    world = np.random.default_rng(7)
-    digest = hashlib.sha256()
-    x = world.uniform(0.9, 1.1, size=14)
-    losses = []
-    for step in range(150):
-        agent = learners[step % 2]
-        chosen = agent.act(x)
-        digest.update(repr(chosen).encode())
-        x_next = world.uniform(0.9, 1.1, size=14)
-        losses.append(agent.learn(x, chosen, float(world.normal()), x_next))
-        x = x_next
-        digest.update(repr(losses[-1]).encode())
+    digest, losses = drive_poc_shaped(learners)
     for agent in learners:
         for param in agent.net.parameters():
             digest.update(param.tobytes())
     assert sum(loss is not None for loss in losses) == 2 * (75 - 32 + 1)
     assert digest.hexdigest() == POC_LEARNER_DIGEST
+
+
+POC_TABULAR_DIGEST = "09cf1ccb8499b3aa6b0e4c558a03c13e5f92083d96547f084dedb1466c7de504"
+
+
+def test_poc_shaped_tabular_learners_keep_their_bits():
+    """The same 150-step drive with two tabular learners.
+
+    The sha256 covers every chosen action and the final Q tables' bytes, so
+    any change to the bits of the tabular ``act`` or ``QTable.update`` fails
+    here.  Eight narrow bins over the observations' spread make the visited
+    rows differ from step to step.
+    """
+    hyper = TabularHyper(n_bins=8, bin_lo=0.97, bin_hi=1.03, epsilon=EpsilonSchedule(decay_steps=60))
+    learners = [TabularQAgent(sizes, hyper, np.random.default_rng(seed))
+                for seed, sizes in enumerate(POC_GROUP_SIZES, start=5)]
+    digest, losses = drive_poc_shaped(learners)
+    for agent in learners:
+        for table in agent.table.tables:
+            digest.update(table.tobytes())
+    assert losses == [None] * 150
+    assert digest.hexdigest() == POC_TABULAR_DIGEST
 
 
 # -- tabular learner -----------------------------------------------------------------

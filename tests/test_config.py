@@ -417,11 +417,18 @@ def test_empty_run_log_path_exits_1_before_any_output(tmp_path, monkeypatch, cap
     ("metrics_path", "run_log_path", ("out/m.json", "out/m.json")),
     ("grid_log_path", "agent_log_path", ("out/a.csv", "./out/a.csv")),
     ("agent_log_path", "run_log_path", ("out/a.json", "out/x/../a.json")),
-], ids=["grid_and_agent_log", "metrics_and_run_log", "dot_prefix", "parent_step"])
+    ("grid_log_path", "agent_log_path", ("out/two_bus_grid_log.csv", "{tmp}/out/two_bus_grid_log.csv")),
+    ("grid_log_path", "agent_log_path", ("real/a.csv", "link/a.csv")),
+], ids=["grid_and_agent_log", "metrics_and_run_log", "dot_prefix", "parent_step", "absolute", "symlink"])
 def test_two_outputs_naming_one_file_exit_1_before_any_output(tmp_path, monkeypatch, capsys, first, second, paths):
-    """Two output keys that name one file are rejected with the config; neither output overwrites the other."""
+    """Two output keys that name one file are rejected with the config; neither output overwrites the other.
+
+    ``{tmp}`` stands for the working directory, and ``link`` is a symlink to the directory ``real``.
+    """
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to("real", target_is_directory=True)
     doc = json.loads(TWO_BUS.read_text(encoding="utf-8"))
-    doc["outputs"].update(zip((first, second), paths))
+    doc["outputs"].update(zip((first, second), (path.format(tmp=tmp_path) for path in paths)))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -429,6 +436,7 @@ def test_two_outputs_naming_one_file_exit_1_before_any_output(tmp_path, monkeypa
     assert re.search(rf"^error: .*outputs\.{second}: names the same file as outputs\.{first}$",
                      capsys.readouterr().err, re.M)
     assert not (tmp_path / "out").exists()
+    assert not any((tmp_path / "real").iterdir())
 
 
 @pytest.mark.parametrize("items, expected", [([2**63], [2.0**63]), ([1.0, 2**64], [1.0, 2.0**64]),

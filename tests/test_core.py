@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from gridduel.core import (
     run_experiment,
     system_performance,
 )
+from gridduel.config import fixture_path, load_config, load_config_path
 from gridduel.grid import GridModel, arl_poc_grid
 from gridduel.powerflow import PowerFlowSolution, solve_newton_raphson
 
@@ -510,6 +513,63 @@ def test_recorded_steps_replay_bit_identically():
         assert world.t == rec.t
         assert world.solution.v_pu.tobytes() == rec.v_pu.tobytes()
         assert world.solution.theta_rad.tobytes() == rec.theta_rad.tobytes()
+
+
+def lone_attacker_600_rounds():
+    return dataclasses.replace(load_config_path(fixture_path("lone_attacker.json")), rounds=600)
+
+
+def two_bus_huge_load():
+    """two_bus with a load no solve survives, over 40 rounds of its load-scaling actuator."""
+    doc = json.loads(fixture_path("two_bus.json").read_text(encoding="utf-8"))
+    doc["grid"]["loads"][0]["p_mw"] = 1e250
+    doc["schedule"]["rounds"] = 40
+    return load_config(json.dumps(doc))
+
+
+def replayed_grids(cfg, log):
+    """The initial grid and every step's grid, rebuilt from the logged labels with this test's own steps."""
+    actuators = {spec.id: spec.actuators for spec in cfg.agents}
+    grids = [cfg.build_grid()]
+    for rec in log.steps:
+        grids.append(one_label_at_a_time(grids[-1], dict(zip(actuators[rec.agent_id], rec.y))))
+    return grids
+
+
+@pytest.mark.parametrize("make_config", [lone_attacker_600_rounds, two_bus_huge_load],
+                         ids=["lone_attacker", "huge_load"])
+def test_a_run_solves_each_distinct_actuator_setting_once(monkeypatch, make_config):
+    """The initial solve plus one per new actuator setting; a repeated setting, failed or not, is not solved again."""
+    solved = []
+
+    def counting_solve(grid):
+        solved.append(grid)
+        return solve_newton_raphson(grid)
+
+    monkeypatch.setattr(core, "solve_newton_raphson", counting_solve)
+    cfg = make_config()
+    log = run_experiment(cfg)
+    settings_seen = {(g.transformers, g.generators, g.loads) for g in replayed_grids(cfg, log)}
+    assert len(solved) == len(settings_seen) < len(log.steps)
+    assert len({(g.transformers, g.generators, g.loads) for g in solved}) == len(solved)
+
+
+@pytest.mark.parametrize("make_config, converged", [
+    (lone_attacker_600_rounds, True),
+    # Moves taps, generators and loads; its step 187 reuses a wrong solution if the key leaves out generators.
+    (lambda: experiment_config(rounds=200, learner="tabular"), True),
+    (two_bus_huge_load, False),
+], ids=["lone_attacker", "tabular_poc", "huge_load"])
+def test_a_reused_solution_equals_a_fresh_solve_of_its_grid(make_config, converged):
+    """Every step, memo hit or not, holds the bits a fresh solve of its replayed grid gives; failed solves too."""
+    cfg = make_config()
+    log = run_experiment(cfg)
+    assert {rec.converged for rec in log.steps} == {converged}
+    for rec, grid in zip(log.steps, replayed_grids(cfg, log)[1:]):
+        fresh = solve_newton_raphson(grid)
+        assert rec.converged == fresh.converged
+        for name in ("v_pu", "theta_rad", "p_inj_pu", "q_inj_pu"):
+            assert getattr(rec, name).tobytes() == getattr(fresh, name).tobytes(), (rec.t, name)
 
 
 def test_a_run_checks_its_grid_a_constant_number_of_times(monkeypatch):

@@ -273,6 +273,20 @@ def test_copy_helpers_keep_every_invariant(base, calls):
             grid = new
 
 
+
+@pytest.mark.parametrize("name, targets, moved", [
+    ("with_tap", (5,), {"tap_pos"}),
+    ("with_generator_setpoint", (0.7, 0.2), {"p_mw", "q_mvar"}),
+    ("with_load_scaling", (1.2,), {"scaling"}),
+], ids=["transformer", "generator", "load"])
+def test_a_move_changes_only_its_actuated_fields(name, targets, moved):
+    """with_targets rebuilds a moved device from its fields; every other field keeps its value."""
+    kind = _HELPERS[name][0]
+    grid = pv_grid()
+    before, after = getattr(grid, kind)[0], getattr(getattr(grid, name)(0, *targets), kind)[0]
+    assert type(after) is type(before)
+    assert {f.name for f in dataclasses.fields(before) if getattr(after, f.name) != getattr(before, f.name)} == moved
+
 def test_grid_serialization_round_trip(poc_grid):
     # GridModel -> experiment JSON (inline grid) -> GridModel is the identity.
     base = load_config(save_config_with_grid(poc_grid)).build_grid()
