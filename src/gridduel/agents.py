@@ -96,6 +96,8 @@ class ActuatorRef:
     def __post_init__(self) -> None:
         if self.kind not in MOVES:
             raise ValueError(f"unknown actuator kind {self.kind!r}")
+        if type(self.index) is not int or self.index < 0:  # a bool is an int, and True would name device 1
+            raise ValueError(f"index must be a non-negative integer, got {self.index!r}")
 
 
 # -- Q-network ----------------------------------------------------------------

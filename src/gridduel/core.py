@@ -101,7 +101,8 @@ def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str],
     Each move's target is read from the grid before the turn; out-of-range
     targets are clamped at the device limits (degrading to hold), so
     application order over the devices cannot matter.  An unknown label
-    raises before anything is copied or solved.
+    raises ValueError, and a device the grid does not have IndexError, before
+    anything is copied or solved.
 
     ``solutions`` memoizes solves by actuator setting, for grids that differ
     from one base grid only in their actuators: a setting found in it reuses
@@ -117,15 +118,18 @@ def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str],
         move = agents_mod.MOVES[ref.kind].get(label)
         if move is None:
             raise ValueError(f"unknown {ref.kind} action label {label!r}")
+        devices = getattr(grid, ref.kind + "s")  # the GridModel field of each actuator kind
+        if ref.index >= len(devices):
+            raise IndexError(f"{ref.kind}s[{ref.index}] does not exist")  # as with_targets words it
         if label == agents_mod.HOLD:
             continue
         if ref.kind == agents_mod.TRANSFORMER:
-            taps[ref.index] = grid.transformers[ref.index].tap_pos + move
+            taps[ref.index] = devices[ref.index].tap_pos + move
         elif ref.kind == agents_mod.GENERATOR:
-            g = grid.generators[ref.index]
+            g = devices[ref.index]
             setpoints[ref.index] = (g.p_mw + move[0], g.q_mvar + move[1])
         else:
-            scalings[ref.index] = grid.loads[ref.index].scaling + move
+            scalings[ref.index] = devices[ref.index].scaling + move
     grid = grid.with_targets(transformers=taps, generators=setpoints, loads=scalings)
     solutions = {} if solutions is None else solutions
     if (solution := solutions.get(key := _actuator_state(grid))) is None:

@@ -46,13 +46,6 @@ def _unknowns(grid: GridModel) -> np.ndarray:
     return np.array(theta_at + v_at, dtype=int)
 
 
-def _flat_start(grid: GridModel) -> np.ndarray:
-    """Stacked ``[theta; v]``: zero angles, 1 pu at pq buses and the setpoint elsewhere."""
-    x = np.zeros(2 * grid.n_bus)
-    x[grid.n_bus :] = [1.0 if b.kind == PQ else b.v_setpoint_pu for b in grid.buses]
-    return x
-
-
 def _evaluate(ybus: np.ndarray, v_pu: np.ndarray, theta_rad: np.ndarray) -> tuple[np.ndarray, ...]:
     """Unit phasors, voltage phasors V, bus currents Y V and injections V conj(Y V).
 
@@ -125,27 +118,60 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# The topology work of the last grid solved:
+# (buses, lines, transformers, structure, network).  It is one tuple, read once
+# and rebound in one assignment, so a concurrent caller can miss it but never
+# mix two entries; it holds the tuples themselves, so a recycled id cannot hit.
+_last_topology: tuple = (None, None, None, None, None)
+
+
+def _topology(grid: GridModel) -> tuple[tuple, tuple]:
+    """What a grid's buses fix, and what its buses, lines and taps fix, reused from the last solve.
+
+    The structure is ``(n, unknowns, Jacobian positions, flat start)``, reused
+    while ``grid.buses`` is the same object.  The network is the admittance
+    matrix, the flat start's :func:`_evaluate` and its Jacobian, reused while
+    the lines and the transformers are the same objects too.  Every array is
+    read-only, and each is what a fresh solve would compute, bit for bit.
+    """
+    global _last_topology
+    buses, lines, transformers, structure, network = _last_topology
+    if grid.buses is not buses:
+        n, unknowns = grid.n_bus, _unknowns(grid)
+        flat_start = np.zeros(2 * n)  # stacked [theta; v]: zero angles, 1 pu at pq buses, the setpoint elsewhere
+        flat_start[n:] = [1.0 if b.kind == PQ else b.v_setpoint_pu for b in grid.buses]
+        structure = (n, *map(_freeze, (unknowns, _jacobian_positions(unknowns, n), flat_start)))
+    elif grid.lines is lines and grid.transformers is transformers:
+        return structure, network
+    n, _, positions, x = structure
+    ybus = build_admittance_matrix(grid)
+    flat = _evaluate(ybus, x[n:], x[:n])
+    network = tuple(map(_freeze, (ybus, *flat, _jacobian(ybus, *flat[:3], positions))))
+    _last_topology = (grid.buses, grid.lines, grid.transformers, structure, network)
+    return structure, network
+
+
 def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:
     """Solve the AC power flow from a flat start.
 
     ``iterations`` counts mismatch evaluations; at most ``max_iter`` Newton
     steps are taken between them.  Singular Jacobians and diverging iterates
     yield a non-converged solution carrying the last finite operating point.
+    The work the buses, lines and taps alone fix is reused from the last solve
+    whose grid holds the same tuples (see :func:`_topology`); the scheduled
+    injections are computed on every call.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    ybus, sched, unknowns = _setup(grid)
-    n = grid.n_bus
-    positions = _jacobian_positions(unknowns, n)
-
-    x = _flat_start(grid)
     failure: str | None = None
     evaluations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a 'diverged' value, not a warning
+        (n, unknowns, positions, x), (ybus, *point, flat_jac) = _topology(grid)
+        sched = np.concatenate(scheduled_injections_pu(grid))
         while True:
             # Every exit below leaves x as the point evaluated here, so s_calc is
             # the returned solution's injections.
-            unit, vc, ibus, s_calc = _evaluate(ybus, x[n:], x[:n])
+            unit, vc, ibus, s_calc = point
             mis = _mismatch(sched, s_calc, unknowns)
             evaluations += 1
             max_mis = float(np.abs(mis).max()) if mis.size else 0.0
@@ -157,7 +183,7 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
             if evaluations > max_iter:
                 failure = "max_iter"
                 break
-            jac = _jacobian(ybus, unit, vc, ibus, positions)
+            jac = flat_jac if evaluations == 1 else _jacobian(ybus, unit, vc, ibus, positions)
             try:
                 dx = np.linalg.solve(jac, -mis)
             except np.linalg.LinAlgError:
@@ -169,6 +195,7 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
                 failure = "diverged"
                 break
             x = x_new
+            point = _evaluate(ybus, x[n:], x[:n])
 
     return PowerFlowSolution(
         v_pu=_freeze(x[n:].copy()),  # copies, not views of x: a run log keeps every solution
@@ -180,4 +207,3 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
         max_mismatch_pu=max_mis,
         failure_cause=failure,
     )
-

@@ -15,6 +15,7 @@ from gridduel.agents import (
     DEFAULT_SIGMA,
     DEFENDER,
     LABELS_BY_KIND,
+    ActuatorRef,
     EpsilonSchedule,
     QNetAgent,
     QNetHyper,
@@ -91,6 +92,14 @@ def test_reward_params_validation():
         RewardParams(c=1.0)
     with pytest.raises(ValueError):
         RewardParams(agent_class="spectator")
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "0", None, np.int64(1), -1],
+                         ids=["true", "false", "float", "str", "none", "numpy_int", "negative"])
+def test_actuator_ref_rejects_an_index_that_is_not_a_non_negative_int(index):
+    # True would otherwise name transformer 1 wherever the ref is used as an index.
+    with pytest.raises(ValueError, match="^index must be a non-negative integer"):
+        ActuatorRef("transformer", index)
 
 
 # -- q-network forward ----------------------------------------------------------

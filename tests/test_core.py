@@ -181,6 +181,17 @@ def test_unknown_label_rejected_for_its_kind(poc_grid, kind, label):
         apply_actions(world, {ActuatorRef(kind, 0): label})
 
 
+@pytest.mark.parametrize("kind, label", [("transformer", "increment"), ("generator", "p_inc"),
+                                         ("load", "hold")])
+def test_missing_device_raises_before_anything_is_solved(poc_grid, monkeypatch, kind, label):
+    """The error with_targets gives, not a bare tuple IndexError from reading the device first."""
+    world = initial_world(poc_grid)
+    monkeypatch.setattr(core, "solve_newton_raphson", lambda grid: pytest.fail("solved"))
+    with pytest.raises(IndexError) as raised:
+        apply_actions(world, {ActuatorRef(kind, 99): label})
+    assert str(raised.value) == f"{kind}s[99] does not exist"
+
+
 def test_clamped_move_degrades_to_hold(poc_grid):
     pinned = poc_grid.with_tap(0, 9)
     world = initial_world(pinned)

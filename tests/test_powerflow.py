@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gridduel import powerflow
 from gridduel.grid import arl_poc_grid, build_admittance_matrix, scheduled_injections_pu
 from gridduel.powerflow import (
     compute_jacobian,
@@ -420,12 +421,57 @@ def solution_digest(grid, sol) -> str:
     return h.hexdigest()
 
 
+def _siblings(grid):
+    """Grids that share ``grid``'s buses and lines, to solve in order just before it.
+
+    The first, only where there is a tap, has transformer 0 moved; the second
+    shares the transformers too and has load 0 moved (to the same scaling where
+    its limits pin it).  So the second's solve cannot reuse the first's
+    admittance matrix, and ``grid``'s solve reuses what the second's computed.
+    """
+    siblings = []
+    if grid.transformers:
+        tr = grid.transformers[0]
+        siblings.append(grid.with_tap(0, tr.tap_min if tr.tap_pos != tr.tap_min else tr.tap_max))
+    ld = grid.loads[0]
+    siblings.append(grid.with_load_scaling(0, ld.scaling_min if ld.scaling != ld.scaling_min else ld.scaling_max))
+    return siblings
+
+
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
 def test_solver_bits_pinned_on_perturbed_grids(case):
+    """The pinned bits from a fresh solve, and from one that reuses a sibling grid's topology work."""
     make_grid, max_iter = SOLVE_CASES[case]
     grid = make_grid()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a failing solve is a value, with no numpy overflow warning
-        sol = solve_newton_raphson(grid, max_iter=max_iter)
-    assert np.all(np.isfinite(sol.v_pu))
-    assert solution_digest(grid, sol) == SOLVE_PINS[case]
+        fresh = solve_newton_raphson(make_grid(), max_iter=max_iter)  # tuples of its own: nothing to reuse
+        for sibling in _siblings(grid):
+            solve_newton_raphson(sibling, max_iter=max_iter)
+        reused = solve_newton_raphson(grid, max_iter=max_iter)
+    for sol in (fresh, reused):
+        assert np.all(np.isfinite(sol.v_pu))
+        assert solution_digest(grid, sol) == SOLVE_PINS[case]
+
+
+def test_solves_sharing_lines_and_taps_build_the_admittance_matrix_once(monkeypatch):
+    """Scheduled injections are computed per solve; the admittance matrix only for new lines or taps."""
+    calls = []
+
+    def counted(name):
+        f = getattr(powerflow, name)
+
+        def call(grid):
+            calls.append(name)
+            return f(grid)
+        return call
+
+    for name in ("build_admittance_matrix", "scheduled_injections_pu"):
+        monkeypatch.setattr(powerflow, name, counted(name))
+    grid = arl_poc_grid()
+    solve_newton_raphson(grid)
+    solve_newton_raphson(grid.with_load_scaling(0, 1.5).with_generator_setpoint(0, 1.0, 0.3))
+    assert calls.count("build_admittance_matrix") == 1
+    solve_newton_raphson(grid.with_tap(0, 1))
+    assert calls.count("build_admittance_matrix") == 2
+    assert calls.count("scheduled_injections_pu") == 3
