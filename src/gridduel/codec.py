@@ -118,16 +118,14 @@ WRITERS: dict = {}
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(name, block, key, type, default or MISSING, reader, closes block) per field, in order."""
+    """(name, block, key, type, default or MISSING, reader) per field, in order."""
     hints = typing.get_type_hints(cls)
     out = []
     for f in dataclasses.fields(cls):
         default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
         block, _, key = f.metadata.get("key", f.name).rpartition(".")
-        out.append([f.name, block, key, hints[f.name], default, _reader(hints[f.name]), bool(block)])
-    for this, after in zip(out, out[1:]):  # a block is closed by its last field
-        this[-1] = this[-1] and after[1] != this[1]
-    return tuple(map(tuple, out))
+        out.append((f.name, block, key, hints[f.name], default, _reader(hints[f.name])))
+    return tuple(out)
 
 
 def decode(cls, raw, ctx: str, **fixed):
@@ -141,7 +139,7 @@ def decode(cls, raw, ctx: str, **fixed):
 def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
     kwargs = dict(fixed)
     blocks: dict = {}
-    for name, block, key, tp, default, read, closes in _fields(cls):
+    for name, block, key, tp, default, read in _fields(cls):
         if name in fixed:
             continue
         src, where = d, ctx
@@ -159,8 +157,8 @@ def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
             raise ConfigError(f"{where}: missing required key '{key}'")
         else:
             kwargs[name] = default
-        if closes:
-            done(src, where)
+    for block, src in blocks.items():
+        done(src, f"{ctx}.{block}")
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -187,7 +185,7 @@ def _reader(tp):
 def encode(obj, prefix: str = "") -> dict:
     """The JSON-ready object of a dataclass; a block is nested where its first field falls."""
     doc: dict = {}
-    for name, block, key, _, default, _, _ in _fields(type(obj)):
+    for name, block, key, _, default, _ in _fields(type(obj)):
         value = getattr(obj, name)
         dst = doc.setdefault(block, {}) if block else doc
         if key.endswith("_"):

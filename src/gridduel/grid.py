@@ -4,11 +4,12 @@ The grid is a plain bus/branch description on a single system MVA base:
 buses (one slack, the rest PQ or PV), lines, tap-changing two-winding
 transformers, PQ generators (modelled as negative loads) and scalable loads.
 A :class:`GridModel` is checked once, when it is built: the constructor, the
-JSON decoder and ``dataclasses.replace`` all run :meth:`GridModel.validate`,
-and the solver never checks it again.  Actuator moves go through one copy
-helper, :meth:`GridModel.with_targets`, which clamps any number of devices
-inside limits the grid already holds, so its copy skips the re-check; the
-``with_*`` helpers are its one-device form.
+JSON decoder and ``dataclasses.replace`` all store its devices as tuples and
+run :meth:`GridModel.validate` on them, so a list edited later cannot change a
+checked grid, and the solver never checks it again.  Actuator moves go through
+one copy helper, :meth:`GridModel.with_targets`, which clamps any number of
+devices inside limits the grid already holds, so its copy skips the re-check;
+the ``with_*`` helpers are its one-device form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import copy
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -27,8 +27,6 @@ PV = "pv"
 PQ = "pq"
 
 _BUS_KINDS = (SLACK, PV, PQ)
-
-_NO_TARGETS: Mapping = MappingProxyType({})
 
 
 class ModelValidationError(ValueError):
@@ -112,6 +110,8 @@ class GridModel:
         return len(self.buses)
 
     def __post_init__(self) -> None:
+        for kind in ("buses", "lines", "transformers", "generators", "loads"):
+            object.__setattr__(self, kind, tuple(getattr(self, kind)))
         self.validate()
 
     def validate(self) -> None:
@@ -215,9 +215,9 @@ class GridModel:
 
     def with_targets(
         self,
-        transformers: Mapping[int, int] = _NO_TARGETS,
-        generators: Mapping[int, tuple[float, float]] = _NO_TARGETS,
-        loads: Mapping[int, float] = _NO_TARGETS,
+        transformers: Mapping[int, int] | None = None,
+        generators: Mapping[int, tuple[float, float]] | None = None,
+        loads: Mapping[int, float] | None = None,
     ) -> GridModel:
         """One copy with each listed device moved to its target, clamped to its limits.
 

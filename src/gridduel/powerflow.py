@@ -94,23 +94,17 @@ def _jacobian(
     return np.negative(jac, out=jac)
 
 
-def _setup(grid: GridModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The admittance matrix, the stacked scheduled [P; Q] and the unknowns' positions of a grid."""
-    return build_admittance_matrix(grid), np.concatenate(scheduled_injections_pu(grid)), _unknowns(grid)
-
-
 def compute_mismatch(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> np.ndarray:
     """Residual vector [dP at non-slack buses; dQ at pq buses] in per-unit."""
-    ybus, sched, unknowns = _setup(grid)
-    s_calc = _evaluate(ybus, np.asarray(v_pu, float), np.asarray(theta_rad, float))[3]
-    return _mismatch(sched, s_calc, unknowns)
+    s_calc = _evaluate(build_admittance_matrix(grid), np.asarray(v_pu, float), np.asarray(theta_rad, float))[3]
+    return _mismatch(np.concatenate(scheduled_injections_pu(grid)), s_calc, _unknowns(grid))
 
 
 def compute_jacobian(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> np.ndarray:
     """Analytic derivative of :func:`compute_mismatch` w.r.t. the solver state."""
-    ybus, _, unknowns = _setup(grid)
+    ybus = build_admittance_matrix(grid)
     unit, vc, ibus, _ = _evaluate(ybus, np.asarray(v_pu, float), np.asarray(theta_rad, float))
-    return _jacobian(ybus, unit, vc, ibus, _jacobian_positions(unknowns, grid.n_bus))
+    return _jacobian(ybus, unit, vc, ibus, _jacobian_positions(_unknowns(grid), grid.n_bus))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -118,24 +112,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# The topology work of the last grid solved:
-# (buses, lines, transformers, structure, network).  It is one tuple, read once
-# and rebound in one assignment, so a concurrent caller can miss it but never
-# mix two entries; it holds the tuples themselves, so a recycled id cannot hit.
-_last_topology: tuple = (None, None, None, None, None)
-
-
 def _topology(grid: GridModel) -> tuple[tuple, tuple]:
-    """What a grid's buses fix, and what its buses, lines and taps fix, reused from the last solve.
+    """What a grid's buses fix, and what its buses, lines and taps fix, kept on the grid.
 
     The structure is ``(n, unknowns, Jacobian positions, flat start)``, reused
     while ``grid.buses`` is the same object.  The network is the admittance
     matrix, the flat start's :func:`_evaluate` and its Jacobian, reused while
     the lines and the transformers are the same objects too.  Every array is
-    read-only, and each is what a fresh solve would compute, bit for bit.
+    read-only, and each is what a fresh solve would compute, bit for bit.  A
+    solved grid keeps both in a private ``_topology`` entry that its
+    ``with_targets`` copies carry; the constructor and ``dataclasses.replace``
+    start fresh.
     """
-    global _last_topology
-    buses, lines, transformers, structure, network = _last_topology
+    buses, lines, transformers, structure, network = vars(grid).get("_topology", (None,) * 5)
     if grid.buses is not buses:
         n, unknowns = grid.n_bus, _unknowns(grid)
         flat_start = np.zeros(2 * n)  # stacked [theta; v]: zero angles, 1 pu at pq buses, the setpoint elsewhere
@@ -147,7 +136,7 @@ def _topology(grid: GridModel) -> tuple[tuple, tuple]:
     ybus = build_admittance_matrix(grid)
     flat = _evaluate(ybus, x[n:], x[:n])
     network = tuple(map(_freeze, (ybus, *flat, _jacobian(ybus, *flat[:3], positions))))
-    _last_topology = (grid.buses, grid.lines, grid.transformers, structure, network)
+    vars(grid)["_topology"] = (grid.buses, grid.lines, grid.transformers, structure, network)
     return structure, network
 
 
@@ -157,9 +146,9 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
     ``iterations`` counts mismatch evaluations; at most ``max_iter`` Newton
     steps are taken between them.  Singular Jacobians and diverging iterates
     yield a non-converged solution carrying the last finite operating point.
-    The work the buses, lines and taps alone fix is reused from the last solve
-    whose grid holds the same tuples (see :func:`_topology`); the scheduled
-    injections are computed on every call.
+    The work the buses, lines and taps alone fix is reused along a grid's
+    ``with_targets`` copies (see :func:`_topology`); the scheduled injections
+    are computed on every call.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import time
@@ -93,6 +94,30 @@ def test_run_records_effective_values_in_metrics(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "out" / "poc_metrics.json").read_text())
     assert doc["rounds"] == 3
     assert doc["seed"] == 9
+
+
+# sha256 of each file `gridduel run` writes for the two bundled duels as
+# configured (2000 steps each); like tests/golden, they pin the bits that this
+# numpy/LAPACK build gives.
+FULL_RUN_SHA256 = {
+    "lone_agent_log.csv": "6d76106f51a4bcaf6dd422ce81f1a3556bc4ace41cbfaa86c5f71612a670e05b",
+    "lone_grid_log.csv": "dba76db6c6a7f86f31bcb170d965b09377b315bd99b7224800198ffdd5a3e969",
+    "lone_metrics.json": "78de1bdf08de78db3df92a560f483ca341675eb4a4526bac7ad8b58259135dc4",
+    "lone_run_log.json": "6f809a7368365422b44d91f57323920526195c8ba13a0dda7e1626370fb38574",
+    "poc_agent_log.csv": "d7d4e57c1eefaadd8441ac4ec5c0612b841369541f173e5a0aef09f9a2ef7830",
+    "poc_grid_log.csv": "692008823fe98abc0a14ea7df8926c73b06a46fb96844ee4e6e6c383e06fd7ce",
+    "poc_metrics.json": "34fd3ac00c36355d7d3987498723fadd5205890cbf4cf52a19fd9db54ed32557",
+    "poc_run_log.json": "febe4181890f754e962094f716013a27aa79b2c25fe00ec3331729cacfaf0918",
+}
+
+
+@pytest.mark.slow
+def test_full_fixture_runs_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for config in (POC, str(fixture_path("lone_attacker.json"))):
+        assert main(["run", "--config", config]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "out").iterdir()}
+    assert written == FULL_RUN_SHA256
 
 
 @pytest.mark.parametrize(

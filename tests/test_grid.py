@@ -16,6 +16,7 @@ from gridduel.grid import (
     arl_poc_grid,
     build_admittance_matrix,
 )
+from gridduel.powerflow import solve_newton_raphson
 
 from .conftest import pv_grid, two_bus_grid
 
@@ -202,6 +203,24 @@ def test_copy_helpers_do_not_mutate_source(poc_grid):
     before = poc_grid.transformers[0].tap_pos
     poc_grid.with_tap(0, 5)
     assert poc_grid.transformers[0].tap_pos == before
+
+
+def test_a_grid_keeps_the_devices_it_checked():
+    """A grid built from lists stores tuples of them.
+
+    Editing the lists after the check then changes neither that grid nor the
+    solve of a new grid built from the edited lists.
+    """
+    base = two_bus_grid()
+    weak = dataclasses.replace(base.lines[0], x_pu=0.5)
+    fresh = solve_newton_raphson(dataclasses.replace(base, lines=(weak,)))
+    buses, lines, loads = list(base.buses), list(base.lines), list(base.loads)
+    grid = GridModel(base.s_base_mva, buses, lines, loads=loads)
+    solve_newton_raphson(grid)
+    lines[0] = weak
+    assert grid == base
+    edited = solve_newton_raphson(GridModel(base.s_base_mva, buses, lines, loads=loads))
+    assert edited.v_pu.tobytes() == fresh.v_pu.tobytes()  # v_pu[1] 0.965926, not the unedited 0.998746
 
 
 @pytest.mark.parametrize("index", [-1, 6, 99])

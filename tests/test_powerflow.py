@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import time
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from gridduel import powerflow
-from gridduel.grid import arl_poc_grid, build_admittance_matrix, scheduled_injections_pu
+from gridduel.grid import GridModel, arl_poc_grid, build_admittance_matrix, scheduled_injections_pu
 from gridduel.powerflow import (
     compute_jacobian,
     compute_mismatch,
@@ -421,57 +422,64 @@ def solution_digest(grid, sol) -> str:
     return h.hexdigest()
 
 
-def _siblings(grid):
-    """Grids that share ``grid``'s buses and lines, to solve in order just before it.
-
-    The first, only where there is a tap, has transformer 0 moved; the second
-    shares the transformers too and has load 0 moved (to the same scaling where
-    its limits pin it).  So the second's solve cannot reuse the first's
-    admittance matrix, and ``grid``'s solve reuses what the second's computed.
-    """
-    siblings = []
-    if grid.transformers:
-        tr = grid.transformers[0]
-        siblings.append(grid.with_tap(0, tr.tap_min if tr.tap_pos != tr.tap_min else tr.tap_max))
-    ld = grid.loads[0]
-    siblings.append(grid.with_load_scaling(0, ld.scaling_min if ld.scaling != ld.scaling_min else ld.scaling_max))
-    return siblings
+def _counted(monkeypatch, *names):
+    """The list each call of the named powerflow globals appends its name to."""
+    calls = []
+    for name in names:
+        def call(grid, f=getattr(powerflow, name), name=name):
+            calls.append(name)
+            return f(grid)
+        monkeypatch.setattr(powerflow, name, call)
+    return calls
 
 
 @pytest.mark.parametrize("case", sorted(SOLVE_CASES))
-def test_solver_bits_pinned_on_perturbed_grids(case):
-    """The pinned bits from a fresh solve, and from one that reuses a sibling grid's topology work."""
+def test_solver_bits_pinned_on_perturbed_grids(case, monkeypatch):
+    """The pinned bits from a fresh solve and from two solves that reuse topology work.
+
+    A copy of the solved grid, solved after a sibling with load 0 moved, reuses the
+    whole network.  Where there is a tap, a grid with transformer 0 moved is solved
+    first, and its copy with the tap moved back reuses the bus structure and must
+    rebuild the admittance matrix for its own taps.
+    """
     make_grid, max_iter = SOLVE_CASES[case]
     grid = make_grid()
+    builds = _counted(monkeypatch, "build_admittance_matrix")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a failing solve is a value, with no numpy overflow warning
-        fresh = solve_newton_raphson(make_grid(), max_iter=max_iter)  # tuples of its own: nothing to reuse
-        for sibling in _siblings(grid):
-            solve_newton_raphson(sibling, max_iter=max_iter)
-        reused = solve_newton_raphson(grid, max_iter=max_iter)
-    for sol in (fresh, reused):
+        solutions = [solve_newton_raphson(grid, max_iter=max_iter)]  # a new grid carries nothing to reuse
+        ld = grid.loads[0]
+        loaded = grid.with_load_scaling(0, ld.scaling_min if ld.scaling != ld.scaling_min else ld.scaling_max)
+        solve_newton_raphson(loaded, max_iter=max_iter)
+        solutions.append(solve_newton_raphson(loaded.with_load_scaling(0, ld.scaling), max_iter=max_iter))
+        if grid.transformers:
+            tr = grid.transformers[0]
+            tapped = make_grid().with_tap(0, tr.tap_min if tr.tap_pos != tr.tap_min else tr.tap_max)
+            solve_newton_raphson(tapped, max_iter=max_iter)
+            solutions.append(solve_newton_raphson(tapped.with_tap(0, tr.tap_pos), max_iter=max_iter))
+    solve_builds = len(builds)  # before the digests' reference mismatches add their own
+    for sol in solutions:
         assert np.all(np.isfinite(sol.v_pu))
         assert solution_digest(grid, sol) == SOLVE_PINS[case]
+    assert solve_builds == (3 if grid.transformers else 1)
 
 
 def test_solves_sharing_lines_and_taps_build_the_admittance_matrix_once(monkeypatch):
-    """Scheduled injections are computed per solve; the admittance matrix only for new lines or taps."""
-    calls = []
+    """Scheduled injections are computed per solve; the admittance matrix only for new lines or taps.
 
-    def counted(name):
-        f = getattr(powerflow, name)
-
-        def call(grid):
-            calls.append(name)
-            return f(grid)
-        return call
-
-    for name in ("build_admittance_matrix", "scheduled_injections_pu"):
-        monkeypatch.setattr(powerflow, name, counted(name))
+    Copies of a solved grid reuse its matrix; a grid built by the constructor or
+    ``dataclasses.replace`` builds its own, even from the same tuples.
+    """
+    calls = _counted(monkeypatch, "build_admittance_matrix", "scheduled_injections_pu")
     grid = arl_poc_grid()
     solve_newton_raphson(grid)
     solve_newton_raphson(grid.with_load_scaling(0, 1.5).with_generator_setpoint(0, 1.0, 0.3))
     assert calls.count("build_admittance_matrix") == 1
-    solve_newton_raphson(grid.with_tap(0, 1))
+    solve_newton_raphson(GridModel(grid.s_base_mva, grid.buses, grid.lines, grid.transformers,
+                                   grid.generators, grid.loads))
     assert calls.count("build_admittance_matrix") == 2
-    assert calls.count("scheduled_injections_pu") == 3
+    solve_newton_raphson(dataclasses.replace(grid))
+    assert calls.count("build_admittance_matrix") == 3
+    solve_newton_raphson(grid.with_tap(0, 1))
+    assert calls.count("build_admittance_matrix") == 4
+    assert calls.count("scheduled_injections_pu") == 5
