@@ -55,25 +55,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="execute an experiment and write all its output files")
+    p.set_defaults(handler=_cmd_run)
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--rounds", type=int, default=None, help="override the round count")
 
     p = sub.add_parser("validate", help="load a config and report the effective experiment")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("--config", required=True)
 
     p = sub.add_parser("powerflow", help="solve the config's grid once and print the bus table")
+    p.set_defaults(handler=_cmd_powerflow)
     p.add_argument("--config", required=True)
 
     p = sub.add_parser("metrics", help="recompute the metrics JSON from a run log")
+    p.set_defaults(handler=_cmd_metrics)
     p.add_argument("--log", required=True)
 
     p = sub.add_parser("plot", help="render one metrics series as an SVG line chart")
+    p.set_defaults(handler=_cmd_plot)
     p.add_argument("--metrics", required=True)
     p.add_argument("--series", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("asymmetry", help="check that performance stays above the failure threshold")
+    p.set_defaults(handler=_cmd_asymmetry)
     p.add_argument("--metrics", required=True)
     p.add_argument("--t0", type=int, required=True)
     return parser
@@ -194,21 +200,11 @@ def _cmd_asymmetry(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "validate": _cmd_validate,
-    "powerflow": _cmd_powerflow,
-    "metrics": _cmd_metrics,
-    "plot": _cmd_plot,
-    "asymmetry": _cmd_asymmetry,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _setup_logging()
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -81,6 +81,8 @@ class AgentSpec:
     learner: QNetHyper | TabularHyper
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sensors", tuple(map(tuple, self.sensors)))
+        object.__setattr__(self, "actuators", tuple(self.actuators))
         if not isinstance(self.learner, (QNetHyper, TabularHyper)):
             raise TypeError(f"learner must be a QNetHyper or a TabularHyper, not {self.learner!r}")
 
@@ -117,6 +119,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # Every invariant is checked here, so a config that is decoded, constructed
         # in Python or changed by `replace` (e.g. a CLI override) passes the same checks.
+        object.__setattr__(self, "agents", tuple(self.agents))
         if not self.name:
             raise ConfigError("name: must not be empty")
         if not 0 <= self.seed < 2**64:
@@ -148,11 +151,6 @@ class ExperimentConfig:
             raise ConfigError(f"agents: only {classes.pop()}s are present; "
                               "set allow_single_class to run without both classes")
 
-        device_counts = {
-            agents_mod.TRANSFORMER: len(grid.transformers),
-            agents_mod.GENERATOR: len(grid.generators),
-            agents_mod.LOAD: len(grid.loads),
-        }
         owner: dict[tuple[str, int], int] = {}
         for i, spec in enumerate(self.agents):
             if not spec.sensors:
@@ -164,7 +162,7 @@ class ExperimentConfig:
                 if not 0 <= bus < grid.n_bus:
                     raise ConfigError(f"agents[{i}]: sensor references missing bus {bus}")
             for ref in spec.actuators:
-                if not 0 <= ref.index < device_counts[ref.kind]:
+                if ref.index >= len(getattr(grid, ref.kind + "s")):  # ActuatorRef rejects a negative index
                     raise ConfigError(f"agents[{i}]: actuator references missing {ref.kind} {ref.index}")
                 key = (ref.kind, ref.index)
                 if owner.get(key) == i:

@@ -2,9 +2,8 @@
 
 Every solve is a pure function of the grid description: flat start, analytic
 Jacobian, dense linear algebra (the grids here are desk-scale).  A failed
-solve is a legal outcome and is reported through the ``converged`` flag and
-``failure_cause`` rather than an exception; downstream code treats it as a
-blackout-grade world state.
+solve is a legal outcome and is reported through ``failure_cause`` rather than
+an exception; downstream code treats it as a blackout-grade world state.
 """
 
 from __future__ import annotations
@@ -28,10 +27,13 @@ class PowerFlowSolution:
     theta_rad: np.ndarray
     p_inj_pu: np.ndarray
     q_inj_pu: np.ndarray
-    converged: bool
     iterations: int
     max_mismatch_pu: float
     failure_cause: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.failure_cause is None
 
 
 def _unknowns(grid: GridModel) -> np.ndarray:
@@ -115,28 +117,28 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _topology(grid: GridModel) -> tuple[tuple, tuple]:
     """What a grid's buses fix, and what its buses, lines and taps fix, kept on the grid.
 
-    The structure is ``(n, unknowns, Jacobian positions, flat start)``, reused
-    while ``grid.buses`` is the same object.  The network is the admittance
-    matrix, the flat start's :func:`_evaluate` and its Jacobian, reused while
-    the lines and the transformers are the same objects too.  Every array is
-    read-only, and each is what a fresh solve would compute, bit for bit.  A
-    solved grid keeps both in a private ``_topology`` entry that its
-    ``with_targets`` copies carry; the constructor and ``dataclasses.replace``
-    start fresh.
+    The structure is ``(n, unknowns, Jacobian positions, flat start)``; the
+    network is the admittance matrix, the flat start's :func:`_evaluate` and
+    its Jacobian.  Every array is read-only, and each is what a fresh solve
+    would compute, bit for bit.  A solved grid keeps both in a private
+    ``_topology`` entry that its ``with_targets`` copies carry.  Those copies
+    share the grid's buses and lines, so the entry is checked by the identity
+    of ``grid.transformers`` alone: a tap move rebuilds the network and keeps
+    the structure.  The constructor and ``dataclasses.replace`` start fresh.
     """
-    buses, lines, transformers, structure, network = vars(grid).get("_topology", (None,) * 5)
-    if grid.buses is not buses:
+    transformers, structure, network = vars(grid).get("_topology", (None,) * 3)
+    if structure is None:
         n, unknowns = grid.n_bus, _unknowns(grid)
         flat_start = np.zeros(2 * n)  # stacked [theta; v]: zero angles, 1 pu at pq buses, the setpoint elsewhere
         flat_start[n:] = [1.0 if b.kind == PQ else b.v_setpoint_pu for b in grid.buses]
         structure = (n, *map(_freeze, (unknowns, _jacobian_positions(unknowns, n), flat_start)))
-    elif grid.lines is lines and grid.transformers is transformers:
+    elif grid.transformers is transformers:
         return structure, network
     n, _, positions, x = structure
     ybus = build_admittance_matrix(grid)
     flat = _evaluate(ybus, x[n:], x[:n])
     network = tuple(map(_freeze, (ybus, *flat, _jacobian(ybus, *flat[:3], positions))))
-    vars(grid)["_topology"] = (grid.buses, grid.lines, grid.transformers, structure, network)
+    vars(grid)["_topology"] = (grid.transformers, structure, network)
     return structure, network
 
 
@@ -146,9 +148,9 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
     ``iterations`` counts mismatch evaluations; at most ``max_iter`` Newton
     steps are taken between them.  Singular Jacobians and diverging iterates
     yield a non-converged solution carrying the last finite operating point.
-    The work the buses, lines and taps alone fix is reused along a grid's
-    ``with_targets`` copies (see :func:`_topology`); the scheduled injections
-    are computed on every call.
+    A solved grid's ``with_targets`` copies reuse its admittance matrix,
+    flat-start evaluation and Jacobian until a tap moves (see
+    :func:`_topology`); the scheduled injections are computed on every call.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -191,7 +193,6 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
         theta_rad=_freeze(x[:n].copy()),
         p_inj_pu=_freeze(s_calc.real.copy()),
         q_inj_pu=_freeze(s_calc.imag.copy()),
-        converged=failure is None,
         iterations=evaluations,
         max_mismatch_pu=max_mis,
         failure_cause=failure,

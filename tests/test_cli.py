@@ -152,6 +152,19 @@ def test_validate_reports_rule_and_exits_one(tmp_path, capsys):
     assert "share actuator transformer:3" in err
 
 
+@pytest.mark.parametrize("argv, last_line", [
+    ([], "gridduel: error: the following arguments are required: command"),
+    (["bogus"], "gridduel: error: argument command: invalid choice: 'bogus' (choose from 'run', 'validate', "
+                "'powerflow', 'metrics', 'plot', 'asymmetry')"),
+    (["run"], "gridduel run: error: the following arguments are required: --config"),
+], ids=["no_command", "unknown_command", "run_without_config"])
+def test_usage_errors_exit_2_with_argparse_text(argv, last_line, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == last_line
+
+
 def test_powerflow_prints_closed_form_solution(capsys):
     assert main(["powerflow", "--config", TWO_BUS]) == 0
     out = capsys.readouterr().out

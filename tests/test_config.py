@@ -533,6 +533,19 @@ def test_python_built_config_is_checked(edit, message):
         edit(cfg)
 
 
+def test_a_config_keeps_the_agents_it_checked():
+    """Lists given in Python are stored as tuples, so a later edit cannot change a checked config."""
+    cfg = load_config_path(TWO_BUS)
+    agents = list(cfg.agents)
+    copied = replace(cfg, agents=agents)
+    agents.append(agents[0])  # would give the copy two agents with one id
+    assert copied.agents == cfg.agents and copied.fingerprint() == cfg.fingerprint()
+    spec = cfg.agents[0]
+    listed = replace(spec, sensors=[list(pair) for pair in spec.sensors], actuators=list(spec.actuators))
+    assert listed == spec and hash(listed) == hash(spec)
+    assert replace(cfg, agents=[listed, *cfg.agents[1:]]).fingerprint() == cfg.fingerprint()
+
+
 @pytest.mark.parametrize("bad_id", ["", "red,team", "red\nteam", "red\rteam"],
                          ids=["empty", "comma", "newline", "carriage_return"])
 def test_agent_id_that_breaks_the_agent_csv_rejected(bad_id):

@@ -55,9 +55,9 @@ def fake_world(v_pu, converged=True, t=0):
         theta_rad=np.zeros(n),
         p_inj_pu=np.zeros(n),
         q_inj_pu=np.zeros(n),
-        converged=converged,
         iterations=1,
         max_mismatch_pu=0.0,
+        failure_cause=None if converged else "diverged",
     )
     return WorldState(t=t, grid=zero_load_grid(max(n, 2)), solution=sol)
 

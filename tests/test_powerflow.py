@@ -5,9 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridduel import powerflow
-from gridduel.grid import GridModel, arl_poc_grid, build_admittance_matrix, scheduled_injections_pu
+from gridduel.grid import (Bus, Generator, GridModel, Line, Load, Transformer, arl_poc_grid, build_admittance_matrix,
+                           scheduled_injections_pu)
 from gridduel.powerflow import (
     compute_jacobian,
     compute_mismatch,
@@ -483,3 +486,59 @@ def test_solves_sharing_lines_and_taps_build_the_admittance_matrix_once(monkeypa
     solve_newton_raphson(grid.with_tap(0, 1))
     assert calls.count("build_admittance_matrix") == 4
     assert calls.count("scheduled_injections_pu") == 5
+
+
+@st.composite
+def radial_grids(draw):
+    """Trees of 2-6 buses, slack at bus 0 and at most one pv bus, with lines, tapped transformers and devices."""
+    n = draw(st.integers(2, 6))
+    pv = draw(st.none() | st.integers(1, n - 1))
+    setpoints = st.floats(0.95, 1.05)
+    buses = [Bus(0, "slack", 110.0, v_setpoint_pu=draw(setpoints))]
+    buses += [Bus(i, "pv", 20.0, v_setpoint_pu=draw(setpoints)) if i == pv else Bus(i, "pq", 20.0)
+              for i in range(1, n)]
+    lines, transformers = [], []
+    for i in range(1, n):
+        ends = (draw(st.integers(0, i - 1)), i)
+        r, x = draw(st.floats(0.0, 0.05)), draw(st.floats(0.01, 0.5))
+        if draw(st.booleans()):
+            lines.append(Line(*ends, r_pu=r, x_pu=x, b_shunt_pu=draw(st.floats(0.0, 0.05))))
+        else:
+            tap_min, tap_max = draw(st.integers(-5, 0)), draw(st.integers(0, 5))
+            transformers.append(Transformer(*ends, r_pu=r, x_pu=x, tap_pos=draw(st.integers(tap_min, tap_max)),
+                                            tap_min=tap_min, tap_max=tap_max, tap_step_pu=draw(st.floats(0.0, 0.03))))
+    pq = [i for i in range(1, n) if i != pv]
+    generators = []
+    for bus in draw(st.lists(st.sampled_from(pq), max_size=3)) if pq else ():
+        p_max, q_max = draw(st.floats(0.0, 50.0)), draw(st.floats(0.0, 20.0))
+        generators.append(Generator(bus, p_mw=draw(st.floats(0.0, p_max)), q_mvar=draw(st.floats(-q_max, q_max)),
+                                    p_min_mw=0.0, p_max_mw=p_max, q_min_mvar=-q_max, q_max_mvar=q_max))
+    loads = [Load(draw(st.integers(0, n - 1)), p_mw=draw(st.floats(0.0, 2000.0)), q_mvar=draw(st.floats(-100.0, 500.0)),
+                  scaling_min=draw(st.floats(0.5, 1.0)), scaling_max=draw(st.floats(1.0, 1.5)))
+             for _ in range(draw(st.integers(0, 3)))]
+    return GridModel(100.0, buses, lines, transformers, generators, loads)
+
+
+# Copy helper -> (device tuple it moves, its targets).
+_MOVES = {"with_tap": ("transformers", st.tuples(st.integers(-6, 6))),
+          "with_generator_setpoint": ("generators", st.tuples(st.floats(-10.0, 60.0), st.floats(-30.0, 30.0))),
+          "with_load_scaling": ("loads", st.tuples(st.floats(0.0, 2.0)))}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(grid=radial_grids(), data=st.data())
+def test_copies_of_a_solved_grid_solve_as_fresh_grids_do(grid, data):
+    """Whatever a chain of copies reuses from the first solve, each solve equals a fresh one, bit for bit."""
+    names = [name for name, (kind, _) in _MOVES.items() if getattr(grid, kind)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a failing solve is a value, with no numpy overflow warning
+        solve_newton_raphson(grid)
+        for _ in range(data.draw(st.integers(1, 8)) if names else 0):
+            kind, targets = _MOVES[name := data.draw(st.sampled_from(names))]
+            index = data.draw(st.integers(0, len(getattr(grid, kind)) - 1))
+            grid = getattr(grid, name)(index, *data.draw(targets))
+            sol = solve_newton_raphson(grid)
+            fresh = solve_newton_raphson(dataclasses.replace(grid))  # through the constructor: nothing to reuse
+            for field in ("v_pu", "theta_rad", "p_inj_pu", "q_inj_pu"):
+                assert getattr(sol, field).tobytes() == getattr(fresh, field).tobytes()
+            assert (sol.iterations, sol.failure_cause) == (fresh.iterations, fresh.failure_cause)
