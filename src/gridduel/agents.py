@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from typing import Callable
 
 import numpy as np
 
@@ -77,13 +78,18 @@ GEN_P_STEP_MW = 0.1
 GEN_Q_STEP_MVAR = 0.05
 LOAD_SCALING_STEP = 0.1
 
-# What each label adds to its device: tap steps, (MW, Mvar) or load scaling.
+# What each label sets its device to, from the device before the turn: a tap
+# position, a (p_mw, q_mvar) setpoint or a load scaling; hold sets nothing.
 # A kind's label order is the order of its learner's action indices.
-MOVES: dict[str, dict[str, float | tuple[float, float]]] = {
-    TRANSFORMER: {"decrement": -TAP_STEP, HOLD: 0, "increment": TAP_STEP},
-    GENERATOR: {"p_dec": (-GEN_P_STEP_MW, 0.0), "p_inc": (GEN_P_STEP_MW, 0.0),
-                "q_dec": (0.0, -GEN_Q_STEP_MVAR), "q_inc": (0.0, GEN_Q_STEP_MVAR), HOLD: (0.0, 0.0)},
-    LOAD: {"decrement": -LOAD_SCALING_STEP, HOLD: 0.0, "increment": LOAD_SCALING_STEP},
+MOVES: dict[str, dict[str, Callable | None]] = {
+    TRANSFORMER: {"decrement": lambda tr: tr.tap_pos - TAP_STEP, HOLD: None,
+                  "increment": lambda tr: tr.tap_pos + TAP_STEP},
+    GENERATOR: {"p_dec": lambda g: (g.p_mw - GEN_P_STEP_MW, g.q_mvar + 0.0),  # + 0.0 turns -0.0 into +0.0
+                "p_inc": lambda g: (g.p_mw + GEN_P_STEP_MW, g.q_mvar + 0.0),
+                "q_dec": lambda g: (g.p_mw + 0.0, g.q_mvar - GEN_Q_STEP_MVAR),
+                "q_inc": lambda g: (g.p_mw + 0.0, g.q_mvar + GEN_Q_STEP_MVAR), HOLD: None},
+    LOAD: {"decrement": lambda ld: ld.scaling - LOAD_SCALING_STEP, HOLD: None,
+           "increment": lambda ld: ld.scaling + LOAD_SCALING_STEP},
 }
 LABELS_BY_KIND: dict[str, tuple[str, ...]] = {kind: tuple(moves) for kind, moves in MOVES.items()}
 

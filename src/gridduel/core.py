@@ -21,7 +21,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from .agents import ActuatorRef, reward as reward_fn
-from .grid import GridModel
+from .grid import GridModel, actuator_state
 from .powerflow import PowerFlowSolution, solve_newton_raphson
 
 if TYPE_CHECKING:
@@ -87,22 +87,15 @@ def observe(world: WorldState, sensors: Sequence[tuple[int, str]]) -> np.ndarray
     return values
 
 
-def _actuator_state(grid: GridModel) -> tuple:
-    """Every actuator's setting: all that tells apart the grids of one run."""
-    return (tuple([tr.tap_pos for tr in grid.transformers]),
-            tuple([(g.p_mw, g.q_mvar) for g in grid.generators]),
-            tuple([ld.scaling for ld in grid.loads]))
-
-
 def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str],
                   solutions: dict[tuple, PowerFlowSolution] | None = None) -> WorldState:
     """Apply one label per device as one grid copy and re-solve the grid.
 
-    Each move's target is read from the grid before the turn; out-of-range
-    targets are clamped at the device limits (degrading to hold), so
-    application order over the devices cannot matter.  An unknown label
-    raises ValueError, and a device the grid does not have IndexError, before
-    anything is copied or solved.
+    Each label's target comes from ``agents.MOVES`` applied to its device
+    before the turn, and ``GridModel.with_targets`` clamps out-of-range targets
+    at the device limits (degrading to hold), so application order over the
+    devices cannot matter.  An unknown label raises ValueError, and a device
+    the grid does not have IndexError, before anything is copied or solved.
 
     ``solutions`` memoizes solves by actuator setting, for grids that differ
     from one base grid only in their actuators: a setting found in it reuses
@@ -110,29 +103,18 @@ def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str],
     Equal keys give equal bits even for 0.0 and -0.0, which
     ``scheduled_injections_pu`` adds to sums that start at +0.0.
     """
-    grid = world.grid
-    taps: dict[int, int] = {}
-    setpoints: dict[int, tuple[float, float]] = {}
-    scalings: dict[int, float] = {}
+    targets: dict[str, dict] = {}
     for ref, label in actions.items():
-        move = agents_mod.MOVES[ref.kind].get(label)
-        if move is None:
+        if label not in (moves := agents_mod.MOVES[ref.kind]):
             raise ValueError(f"unknown {ref.kind} action label {label!r}")
-        devices = getattr(grid, ref.kind + "s")  # the GridModel field of each actuator kind
+        devices = getattr(world.grid, name := ref.kind + "s")  # the GridModel field of each actuator kind
         if ref.index >= len(devices):
-            raise IndexError(f"{ref.kind}s[{ref.index}] does not exist")  # as with_targets words it
-        if label == agents_mod.HOLD:
-            continue
-        if ref.kind == agents_mod.TRANSFORMER:
-            taps[ref.index] = devices[ref.index].tap_pos + move
-        elif ref.kind == agents_mod.GENERATOR:
-            g = devices[ref.index]
-            setpoints[ref.index] = (g.p_mw + move[0], g.q_mvar + move[1])
-        else:
-            scalings[ref.index] = devices[ref.index].scaling + move
-    grid = grid.with_targets(transformers=taps, generators=setpoints, loads=scalings)
+            raise IndexError(f"{name}[{ref.index}] does not exist")  # as with_targets words it
+        if (move := moves[label]) is not None:
+            targets.setdefault(name, {})[ref.index] = move(devices[ref.index])
+    grid = world.grid.with_targets(**targets)
     solutions = {} if solutions is None else solutions
-    if (solution := solutions.get(key := _actuator_state(grid))) is None:
+    if (solution := solutions.get(key := actuator_state(grid))) is None:
         solution = solutions[key] = solve_newton_raphson(grid)
     return WorldState(t=world.t + 1, grid=grid, solution=solution)
 
@@ -261,7 +243,11 @@ class RunLog:
             raise ValueError("initial.v_pu: a grid has at least one bus, got 0 values")
         if (n := len(self.initial_theta_rad)) != n_bus:
             raise ValueError(f"initial.theta_rad: expected {n_bus} values, got {n}")
+        if len(ids := {a.agent_id for a in self.agents}) != len(self.agents):  # one metrics series per id
+            raise ValueError("agents: ids must be unique")
         for i, rec in enumerate(self.steps):
+            if rec.agent_id not in ids:
+                raise ValueError(f"steps[{i}].agent_id: {rec.agent_id!r} is not one of the agents")
             for name in _BUS_VECTORS:
                 if (n := len(getattr(rec, name))) != n_bus:
                     raise ValueError(f"steps[{i}].{name}: expected {n_bus} values, got {n}")
@@ -306,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     world = initial_world(grid)
     init = world
     # One solve per distinct actuator setting; the memo dies with the run.
-    solutions = {_actuator_state(grid): world.solution}
+    solutions = {actuator_state(grid): world.solution}
     records: list[StepRecord] = []
     stopped = None
     for spec, runner in turns:

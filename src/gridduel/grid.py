@@ -271,6 +271,13 @@ _MOVE_TO = {
 }
 
 
+def actuator_state(grid: GridModel) -> tuple:
+    """Every actuator's setting: all that tells apart the grids of one run."""
+    return (tuple([tr.tap_pos for tr in grid.transformers]),
+            tuple([(g.p_mw, g.q_mvar) for g in grid.generators]),
+            tuple([ld.scaling for ld in grid.loads]))
+
+
 def _clamp(value: float, lo: float, hi: float) -> float:
     """value limited to [lo, hi]; NaN, which no limit can hold, raises."""
     if value != value:  # NaN; math.isnan would also reject an int too large for a float

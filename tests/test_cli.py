@@ -413,6 +413,10 @@ VALIDATE = ["validate", "--config"]
          r"run_log\.steps\[1\]\.reward: expected a finite number"),
         ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(note="x")),
          r"run_log\.steps\[1\]: unknown key\(s\) \['note'\]"),
+        ("run_log", ["metrics", "--log"], _step_edit(lambda s: s.update(agent_id="ghost")),
+         r"run_log: steps\[1\]\.agent_id: 'ghost' is not one of the agents$"),
+        ("run_log", ["metrics", "--log"], _inner("agents", lambda a: a.append(dict(a[0]))),
+         r"run_log: agents: ids must be unique$"),
         ("run_log", ["metrics", "--log"], _edited(performance={"p_fail": 2.0}),
          r"run_log\.performance: require 0 <= p_fail < p_star <= 1"),
         ("run_log", ["metrics", "--log"], _inner("initial", lambda d: d.update(note=1)),
@@ -456,7 +460,7 @@ VALIDATE = ["validate", "--config"]
     ids=["run_log_without_agents", "run_log_without_initial", "step_without_v_pu", "string_voltage",
          "boolean_voltage", "ragged_voltage", "short_voltage_row", "long_angle_row",
          "short_initial_angle_row", "string_step_time", "numeric_label",
-         "nan_reward", "unknown_step_key",
+         "nan_reward", "unknown_step_key", "step_of_unlisted_agent", "duplicate_agent_id",
          "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
          "run_log_without_buses",
          "unknown_schedule_key", "string_rounds", "config_duplicate_key", "string_allow_single_class",

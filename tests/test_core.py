@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from gridduel import core
 from gridduel.agents import (
+    ATTACKER,
+    DEFENDER,
     GEN_P_STEP_MW,
     GEN_Q_STEP_MVAR,
     HOLD,
@@ -16,6 +19,9 @@ from gridduel.agents import (
     LOAD_SCALING_STEP,
     TAP_STEP,
     ActuatorRef,
+    QNetHyper,
+    RewardParams,
+    TabularHyper,
 )
 from gridduel.core import (
     ABSORB,
@@ -37,12 +43,15 @@ from gridduel.core import (
     run_experiment,
     system_performance,
 )
-from gridduel.config import fixture_path, load_config, load_config_path
+from gridduel.codec import encode, json_pieces
+from gridduel.config import AgentSpec, ExperimentConfig, OutputPaths, fixture_path, load_config, load_config_path
 from gridduel.grid import GridModel, arl_poc_grid
 from gridduel.powerflow import PowerFlowSolution, solve_newton_raphson
+from gridduel.results import compute_metrics, metrics_doc, read_run_log, write_run_log
 
 from .conftest import experiment_config, two_bus_grid, zero_load_grid
 from .golden_values import POC_BASE_V_PU
+from .test_powerflow import radial_grids
 
 CFG = PerformanceConfig()
 
@@ -581,6 +590,59 @@ def test_a_reused_solution_equals_a_fresh_solve_of_its_grid(make_config, converg
         assert rec.converged == fresh.converged
         for name in ("v_pu", "theta_rad", "p_inj_pu", "q_inj_pu"):
             assert getattr(rec, name).tobytes() == getattr(fresh, name).tobytes(), (rec.t, name)
+
+
+@st.composite
+def random_configs(draw):
+    """A radial grid whose devices an attacker and a defender split at random, each with a Q-net or tabular learner."""
+    grid = draw(radial_grids())
+    devices = [ActuatorRef(kind, i) for kind in LABELS_BY_KIND for i in range(len(getattr(grid, kind + "s")))]
+    owners = [draw(st.booleans()) for _ in devices]
+    agents = []
+    for agent_class in (ATTACKER, DEFENDER):
+        learner = draw(st.one_of(
+            st.builds(QNetHyper, batch_size=st.integers(1, 8), hidden=st.integers(1, 8),
+                      learning_rate=st.floats(0.0, 1.0)),
+            st.just(TabularHyper())))
+        buses = draw(st.lists(st.integers(0, grid.n_bus - 1), min_size=1, max_size=3))
+        agents.append(AgentSpec(agent_class, [(bus, "v_pu") for bus in buses],
+                                [ref for ref, owner in zip(devices, owners) if owner == (agent_class == ATTACKER)],
+                                RewardParams(agent_class=agent_class), learner))
+    return ExperimentConfig("random", draw(st.integers(0, 2**64 - 1)), grid, agents, rounds=draw(st.integers(1, 40)),
+                            steps_per_turn=draw(st.integers(1, 3)), performance=PerformanceConfig(),
+                            outputs=OutputPaths("grid.csv", "agents.csv", "metrics.json"))
+
+
+def json_lines(doc):
+    """A document's JSON text as lines, so that a failure names the first line that differs."""
+    return "".join(json_pieces(doc)).split("\n")
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(cfg=random_configs())
+def test_random_runs_keep_the_run_contract(tmp_path_factory, cfg):
+    """Determinism, the memo, the run-log round trip and the metrics hold on random grids and agents.
+
+    The draws move taps, generators and loads, and some of their solves fail,
+    so a memo key that leaves out a device kind makes some draw's run differ
+    from its run without the memo.  ``stopped`` is covered only when a draw
+    diverges, and none of these does.
+    """
+    apply = core.apply_actions
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = run_experiment(cfg)
+        lines = json_lines(encode(log))
+        assert json_lines(encode(run_experiment(cfg))) == lines
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "apply_actions", lambda world, actions, solutions=None: apply(world, actions))
+            assert json_lines(encode(run_experiment(cfg))) == lines
+        path = tmp_path_factory.mktemp("run_log") / "run_log.json"
+        write_run_log(log, path)
+        back = read_run_log(path)
+        assert path.read_text(encoding="utf-8").split("\n") == lines == json_lines(encode(back))
+        assert (json_lines(metrics_doc(compute_metrics(log, cfg.performance), log))
+                == json_lines(metrics_doc(compute_metrics(back, cfg.performance), back)))
 
 
 def test_a_run_checks_its_grid_a_constant_number_of_times(monkeypatch):
