@@ -429,7 +429,7 @@ class TabularQAgent(_Learner):
 
     def discretize(self, x: np.ndarray) -> int:
         h = self.hyper
-        mean = float(np.mean(x))
+        mean = float(x.sum()) / len(x)  # np.mean's bits: the same pairwise sum and one division
         frac = (mean - h.bin_lo) / (h.bin_hi - h.bin_lo)
         # Clamped before int(), which cannot take the inf a subnormal-wide range gives.
         return int(min(max(frac * h.n_bins, 0), h.n_bins - 1))

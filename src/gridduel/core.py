@@ -120,12 +120,19 @@ def apply_actions(world: WorldState, actions: Mapping[ActuatorRef, str],
 
 
 def system_performance(world: WorldState, cfg: PerformanceConfig) -> float:
-    """Mean per-bus distance from the hard band edge, in [0, 1]; 0 on a failed solve."""
+    """Mean per-bus score of closeness to 1 pu, in [0, 1]; 0 on a failed solve.
+
+    A bus scores ``max(0, 1 - |v - 1| / (v_hi - 1))``: 1 at 1 pu, falling
+    linearly to 0 at ``v_hi`` above 1 pu and at ``2 - v_hi`` below it.  Both
+    sides are scaled by ``v_hi - 1`` and ``v_lo`` is never read, so on a band
+    that is not symmetric about 1 pu a bus can score 0 inside [v_lo, v_hi].
+    """
     if not world.solution.converged:
         return 0.0
     v = world.solution.v_pu
     half_band = cfg.v_hi - 1.0
-    return float(np.mean(np.maximum(0.0, 1.0 - np.abs(v - 1.0) / half_band)))
+    score = np.maximum(0.0, 1.0 - np.abs(v - 1.0) / half_band)
+    return float(score.sum()) / len(score)  # np.mean's bits: the same pairwise sum and one division
 
 
 def operational_phases(v: np.ndarray, converged: Sequence[bool], cfg: PerformanceConfig) -> list[str]:
@@ -301,7 +308,7 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
         labels = tuple(agents_mod.LABELS_BY_KIND[ref.kind][i] for ref, i in zip(spec.actuators, chosen))
         world = apply_actions(world, dict(zip(spec.actuators, labels)), solutions)
         x_next = observe(world, spec.sensors)
-        r = reward_fn(spec.reward_params(), float(np.mean(x_next)))
+        r = reward_fn(spec.reward_params(), float(x_next.sum()) / len(x_next))  # np.mean's sum and division
         loss = runner.learn(x, chosen, r, x_next)
         # The record describes the post-action world: its x is x_next, the
         # observation the reward was evaluated on, and y the action that

@@ -14,7 +14,6 @@ the ``with_*`` helpers are its one-device form.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 from dataclasses import dataclass, field, fields
@@ -27,6 +26,8 @@ PV = "pv"
 PQ = "pq"
 
 _BUS_KINDS = (SLACK, PV, PQ)
+# Device fields that hold a bus id; each indexes the buses, so it must be an int.
+_BUS_INDEX_FIELDS = ("id", "from_bus", "to_bus", "bus")
 
 
 class ModelValidationError(ValueError):
@@ -123,6 +124,14 @@ class GridModel:
         n = len(self.buses)
         if n == 0:
             raise ModelValidationError("grid has no buses")
+        for kind in ("buses", "lines", "transformers", "generators", "loads"):
+            for i, device in enumerate(getattr(self, kind)):
+                for f in fields(device):
+                    value = getattr(device, f.name)
+                    if f.name in _BUS_INDEX_FIELDS and type(value) is not int:  # not True, 1.0 or np.int64(1)
+                        raise ModelValidationError(f"{kind}[{i}]: {f.name} must be an integer")
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ModelValidationError(f"{kind}[{i}]: {f.name} must be finite")
         ids = [b.id for b in self.buses]
         if sorted(ids) != list(range(n)):
             raise ModelValidationError(
@@ -133,12 +142,6 @@ class GridModel:
         slacks = [b.id for b in self.buses if b.kind == SLACK]
         if len(slacks) != 1:
             raise ModelValidationError(f"exactly one slack bus required, found {len(slacks)}")
-        for kind in ("buses", "lines", "transformers", "generators", "loads"):
-            for i, device in enumerate(getattr(self, kind)):
-                for f in fields(device):
-                    value = getattr(device, f.name)
-                    if isinstance(value, float) and not math.isfinite(value):
-                        raise ModelValidationError(f"{kind}[{i}]: {f.name} must be finite")
         for b in self.buses:
             if b.kind not in _BUS_KINDS:
                 raise ModelValidationError(f"bus {b.id}: unknown kind {b.kind!r}")
@@ -237,8 +240,9 @@ class GridModel:
                 if not 0 <= index < len(devices):
                     raise IndexError(f"{kind}[{index}] does not exist")
                 devices[index] = move_to(devices[index], target)
-            if new is self:
-                new = copy.copy(self)
+            if new is self:  # a shallow copy, carrying the solver's _topology entry
+                new = object.__new__(type(self))
+                vars(new).update(vars(self))
             object.__setattr__(new, kind, tuple(devices))
         return new
 

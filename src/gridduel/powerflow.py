@@ -59,9 +59,14 @@ def _evaluate(ybus: np.ndarray, v_pu: np.ndarray, theta_rad: np.ndarray) -> tupl
     return unit, vc, ibus, vc * np.conj(ibus)
 
 
-def _mismatch(sched: np.ndarray, s_calc: np.ndarray, unknowns: np.ndarray) -> np.ndarray:
-    """Scheduled minus calculated [P; Q], at the solver's unknowns."""
-    return (sched - np.concatenate([s_calc.real, s_calc.imag]))[unknowns]
+def _interleaved(unknowns: np.ndarray, n: int) -> np.ndarray:
+    """Positions of ``[P; Q][unknowns]`` in complex injections viewed as floats: part u // n of entry u % n."""
+    return 2 * (unknowns % n) + unknowns // n
+
+
+def _mismatch(sched: np.ndarray, s_calc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Scheduled minus calculated [P; Q] at the unknowns, given ``sched`` there and their ``rows`` in s_calc."""
+    return sched - s_calc.view(float)[rows]
 
 
 def _jacobian_positions(unknowns: np.ndarray, n: int) -> np.ndarray:
@@ -84,11 +89,14 @@ def _jacobian(
     positions: np.ndarray,
 ) -> np.ndarray:
     """d(mismatch)/d[theta at non-slack; V at pq] as one dense square matrix."""
-    diag_v = np.diag(vc)
-    diag_i = np.diag(ibus)
-    diag_vnorm = np.diag(unit)
-    # Complex power sensitivities, S = diag(V) conj(Y V).  Keep the dense diag()
-    # products: broadcasting instead changes the last bits of every iterate.
+    # diag(V), diag(Y V) and diag(V / |V|) as one zero block filled once.
+    n = len(vc)
+    diags = np.zeros((3, n * n), complex)
+    diags[:, :: n + 1] = (vc, ibus, unit)
+    diag_v, diag_i, diag_vnorm = diags.reshape(3, n, n)
+    # Complex power sensitivities, S = diag(V) conj(Y V).  Keep the dense
+    # products with the diagonal matrices: broadcasting instead changes the
+    # last bits of every iterate.
     ds_dtheta = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
     ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
     jac = np.concatenate([ds_dtheta, ds_dvm], axis=1).view(float).ravel()[positions]
@@ -99,7 +107,9 @@ def _jacobian(
 def compute_mismatch(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> np.ndarray:
     """Residual vector [dP at non-slack buses; dQ at pq buses] in per-unit."""
     s_calc = _evaluate(build_admittance_matrix(grid), np.asarray(v_pu, float), np.asarray(theta_rad, float))[3]
-    return _mismatch(np.concatenate(scheduled_injections_pu(grid)), s_calc, _unknowns(grid))
+    unknowns = _unknowns(grid)
+    return _mismatch(np.concatenate(scheduled_injections_pu(grid))[unknowns], s_calc,
+                     _interleaved(unknowns, grid.n_bus))
 
 
 def compute_jacobian(grid: GridModel, v_pu: np.ndarray, theta_rad: np.ndarray) -> np.ndarray:
@@ -117,24 +127,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _topology(grid: GridModel) -> tuple[tuple, tuple]:
     """What a grid's buses fix, and what its buses, lines and taps fix, kept on the grid.
 
-    The structure is ``(n, unknowns, Jacobian positions, flat start)``; the
-    network is the admittance matrix, the flat start's :func:`_evaluate` and
-    its Jacobian.  Every array is read-only, and each is what a fresh solve
-    would compute, bit for bit.  A solved grid keeps both in a private
-    ``_topology`` entry that its ``with_targets`` copies carry.  Those copies
-    share the grid's buses and lines, so the entry is checked by the identity
-    of ``grid.transformers`` alone: a tap move rebuilds the network and keeps
-    the structure.  The constructor and ``dataclasses.replace`` start fresh.
+    The structure is ``(n, unknowns, their interleaved positions, Jacobian
+    positions, flat start)``; the network is the admittance matrix, the flat
+    start's :func:`_evaluate` and its Jacobian.  Every array is read-only,
+    and each is what a fresh solve would compute, bit for bit.  A solved grid
+    keeps both in a private ``_topology`` entry that its ``with_targets``
+    copies carry.  Those copies share the grid's buses and lines, so the entry
+    is checked by the identity of ``grid.transformers`` alone: a tap move
+    rebuilds the network and keeps the structure.  The constructor and
+    ``dataclasses.replace`` start fresh.
     """
     transformers, structure, network = vars(grid).get("_topology", (None,) * 3)
     if structure is None:
         n, unknowns = grid.n_bus, _unknowns(grid)
         flat_start = np.zeros(2 * n)  # stacked [theta; v]: zero angles, 1 pu at pq buses, the setpoint elsewhere
         flat_start[n:] = [1.0 if b.kind == PQ else b.v_setpoint_pu for b in grid.buses]
-        structure = (n, *map(_freeze, (unknowns, _jacobian_positions(unknowns, n), flat_start)))
+        structure = (n, *map(_freeze, (unknowns, _interleaved(unknowns, n), _jacobian_positions(unknowns, n),
+                                       flat_start)))
     elif grid.transformers is transformers:
         return structure, network
-    n, _, positions, x = structure
+    n, _, _, positions, x = structure
     ybus = build_admittance_matrix(grid)
     flat = _evaluate(ybus, x[n:], x[:n])
     network = tuple(map(_freeze, (ybus, *flat, _jacobian(ybus, *flat[:3], positions))))
@@ -157,13 +169,13 @@ def solve_newton_raphson(grid: GridModel, max_iter: int = DEFAULT_MAX_ITER) -> P
     failure: str | None = None
     evaluations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a 'diverged' value, not a warning
-        (n, unknowns, positions, x), (ybus, *point, flat_jac) = _topology(grid)
-        sched = np.concatenate(scheduled_injections_pu(grid))
+        (n, unknowns, rows, positions, x), (ybus, *point, flat_jac) = _topology(grid)
+        sched = np.concatenate(scheduled_injections_pu(grid))[unknowns]
         while True:
             # Every exit below leaves x as the point evaluated here, so s_calc is
             # the returned solution's injections.
             unit, vc, ibus, s_calc = point
-            mis = _mismatch(sched, s_calc, unknowns)
+            mis = _mismatch(sched, s_calc, rows)
             evaluations += 1
             max_mis = float(np.abs(mis).max()) if mis.size else 0.0
             if not math.isfinite(max_mis):

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from gridduel.agents import (
     QNetHyper,
     RewardParams,
     TabularHyper,
+    TabularQAgent,
 )
 from gridduel.core import (
     ABSORB,
@@ -330,6 +332,50 @@ def test_performance_bounds(rng):
         p = system_performance(fake_world(v), CFG)
         assert 0.0 <= p <= 1.0
         assert (p == 1.0) == bool(np.all(v == 1.0))
+
+
+@st.composite
+def mean_inputs(draw):
+    """1-300 values near 1 pu with up to three huge, infinite, NaN or arbitrary floats among them."""
+    values = draw(st.lists(st.floats(0.85, 1.15), min_size=1, max_size=297))
+    for _ in range(draw(st.integers(0, 3))):
+        special = draw(st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]) | st.floats())
+        values.insert(draw(st.integers(0, len(values))), special)
+    return np.array(values)
+
+
+def outcome(f, *args):
+    """f's result as float bytes, or the type and message of what it raised, with warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.float64(f(*args)).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+def np_mean_discretize(h, x):
+    """TabularQAgent.discretize with the mean taken by np.mean."""
+    frac = (float(np.mean(x)) - h.bin_lo) / (h.bin_hi - h.bin_lo)
+    return int(min(max(frac * h.n_bins, 0), h.n_bins - 1))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(x=mean_inputs())
+def test_step_means_keep_np_mean_bits(x):
+    """system_performance and discretize take np.mean's pairwise sum and one division, bit for bit."""
+    assert outcome(system_performance, fake_world(x), CFG) == outcome(
+        lambda v: float(np.mean(np.maximum(0.0, 1.0 - np.abs(v - 1.0) / (CFG.v_hi - 1.0)))), x)
+    hypers = [TabularHyper()]
+    with np.errstate(all="ignore"):
+        mean = float(np.mean(x))
+    lo = float(np.nextafter(np.nextafter(mean, -math.inf), -math.inf))
+    hi = float(np.nextafter(np.nextafter(mean, math.inf), math.inf))
+    if math.isfinite(lo) and math.isfinite(hi):  # four bins one ulp wide around the mean: any other mean moves bin
+        hypers.append(TabularHyper(n_bins=4, bin_lo=lo, bin_hi=hi))
+    for h in hypers:
+        agent = TabularQAgent((3,), h, np.random.default_rng(0))
+        assert outcome(agent.discretize, x) == outcome(np_mean_discretize, h, x)
 
 
 def phase(v_pu, converged=True):

@@ -131,6 +131,13 @@ def test_disconnected_graph_rejected():
         (lambda g: _with_first(g, "generators", q_mvar=0.5), r"generators\[0\]: q_mvar outside limits"),
         (lambda g: _with_first(g, "loads", bus=99), r"loads\[0\]: bus 99 does not exist"),
         (lambda g: _with_first(g, "loads", scaling=2.0), r"loads\[0\]: scaling outside bounds"),
+        (lambda g: _with_first(g, "lines", to_bus=1.0), r"lines\[0\]: to_bus must be an integer"),
+        (lambda g: _with_first(g, "lines", to_bus=True), r"lines\[0\]: to_bus must be an integer"),
+        (lambda g: _with_first(g, "transformers", from_bus=2.0), r"transformers\[0\]: from_bus must be an integer"),
+        (lambda g: _with_first(g, "generators", bus=True), r"generators\[0\]: bus must be an integer"),
+        (lambda g: _with_first(g, "loads", bus=8.0), r"loads\[0\]: bus must be an integer"),
+        (lambda g: _with_first(g, "loads", bus=np.int64(8)), r"loads\[0\]: bus must be an integer"),
+        (lambda g: _with_first(g, "buses", id=0.0), r"buses\[0\]: id must be an integer"),
     ],
 )
 def test_validation_rejections(poc_grid, mutate, message):

@@ -226,13 +226,21 @@ def test_pv_grid_jacobian_at_20_random_operating_points(rng):
         assert max_rel_err(jac, fd_jacobian(g, v, theta)) < 1e-5
 
 
+def assert_bits_match_reference_assembly(g, v, theta):
+    """The residual and Jacobian equal the reference assembly, and a solve reports the residual it stopped at."""
+    assert compute_mismatch(g, v, theta).tobytes() == reference_mismatch(g, v, theta).tobytes()
+    assert compute_jacobian(g, v, theta).tobytes() == reference_jacobian(g, v, theta).tobytes()
+    sol = solve_newton_raphson(g)
+    with np.errstate(over="ignore", invalid="ignore"):  # the last point of a diverged solve
+        at_solution = np.abs(compute_mismatch(g, sol.v_pu, sol.theta_rad)).max()
+    assert np.float64(sol.max_mismatch_pu).tobytes() == at_solution.tobytes()
+
+
 @pytest.mark.parametrize("make_grid", [arl_poc_grid, pv_grid], ids=["poc", "pv"])
 def test_mismatch_and_jacobian_bits_match_reference_assembly(make_grid, rng):
     grid = make_grid()
     for _ in range(20):
-        g, v, theta = random_operating_point(grid, rng)
-        assert compute_mismatch(g, v, theta).tobytes() == reference_mismatch(g, v, theta).tobytes()
-        assert compute_jacobian(g, v, theta).tobytes() == reference_jacobian(g, v, theta).tobytes()
+        assert_bits_match_reference_assembly(*random_operating_point(grid, rng))
 
 
 @pytest.mark.parametrize("make_grid", [arl_poc_grid, pv_grid], ids=["poc", "pv"])
@@ -517,6 +525,13 @@ def radial_grids(draw):
                   scaling_min=draw(st.floats(0.5, 1.0)), scaling_max=draw(st.floats(1.0, 1.5)))
              for _ in range(draw(st.integers(0, 3)))]
     return GridModel(100.0, buses, lines, transformers, generators, loads)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(grid=radial_grids(), seed=st.integers(0, 2**32 - 1))
+def test_mismatch_and_jacobian_bits_match_reference_assembly_on_radial_grids(grid, seed):
+    """The same bits on trees of 2-6 buses, with and without a pv bus, at random operating points."""
+    assert_bits_match_reference_assembly(*random_operating_point(grid, np.random.default_rng(seed)))
 
 
 # Copy helper -> (device tuple it moves, its targets).
