@@ -265,6 +265,8 @@ class EpsilonSchedule:
     decay_steps: int = 1000
 
     def __post_init__(self) -> None:
+        if type(self.decay_steps) is not int:  # True or 2.5 would run, and its saved config not reload
+            raise ValueError(f"epsilon_decay_steps must be an integer, got {self.decay_steps!r}")
         if not 0.0 <= self.start <= 1.0:
             raise ValueError("epsilon_start must be in [0, 1]")
         if not 0.0 <= self.end <= 1.0:
@@ -318,6 +320,9 @@ class QNetHyper:
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule, metadata={"key": "epsilon_"})
 
     def __post_init__(self) -> None:
+        for name in ("replay_capacity", "batch_size", "hidden"):  # as EpsilonSchedule.decay_steps
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         if not self.learning_rate >= 0.0:
@@ -346,6 +351,8 @@ class TabularHyper:
             raise ValueError("alpha must be in [0, 1]")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
+        if type(self.n_bins) is not int:  # as EpsilonSchedule.decay_steps
+            raise ValueError(f"n_bins must be an integer, got {self.n_bins!r}")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
         if self.n_bins > MAX_N_BINS:
@@ -354,46 +361,30 @@ class TabularHyper:
             raise ValueError("bin_lo must be < bin_hi")
 
 
-class _Learner:
-    """What both learners share: group sizes and the exploration schedule.
+class QNetAgent:
+    """Q-network learner over the factored action groups, trained on replay batches.
 
-    A turn is plain values: ``act(x)`` returns one label index per group, and
-    ``learn(x, chosen, reward, x_next)`` is handed that turn whole.  Each
-    learner defines ``act`` and ``learn`` on its own class.
+    A turn is plain values: ``act(x, epsilon)`` picks one label index per group,
+    a uniform one with probability ``epsilon``, and ``learn(x, chosen, reward, x_next)``
+    gets that turn whole.  The learner keeps no turn count; the caller picks epsilon.
     """
-
-    def __init__(self, group_sizes: tuple[int, ...], hyper: QNetHyper | TabularHyper,
-                 rng: np.random.Generator):
-        self.group_sizes = tuple(group_sizes)
-        self.hyper = hyper
-        self.rng = rng
-        self.step_count = 0
-
-    @property
-    def epsilon(self) -> float:
-        return self.hyper.epsilon.value(self.step_count)
-
-
-class QNetAgent(_Learner):
-    """Q-network learner over the factored action groups, trained on replay batches."""
 
     def __init__(self, group_sizes: tuple[int, ...], n_in: int, hyper: QNetHyper,
                  rng: np.random.Generator):
-        super().__init__(group_sizes, hyper, rng)
-        self.net = init_qnetwork(n_in, self.group_sizes, hyper.hidden, rng)
+        self.hyper = hyper
+        self.rng = rng
+        self.net = init_qnetwork(n_in, group_sizes, hyper.hidden, rng)
         self.buffer = ReplayBuffer(hyper.replay_capacity)
 
-    def act(self, x: np.ndarray) -> tuple[int, ...]:
-        chosen = epsilon_greedy(forward(self.net, x), self.epsilon, self.rng)
-        self.step_count += 1
-        return chosen
+    def act(self, x: np.ndarray, epsilon: float) -> tuple[int, ...]:
+        return epsilon_greedy(forward(self.net, x), epsilon, self.rng)
 
     def learn(self, x: np.ndarray, chosen: tuple[int, ...], reward_value: float,
               x_next: np.ndarray) -> float | None:
         """The TD loss of one replay batch; None until the batch fills, or with no action group."""
         self.buffer.push(Transition(np.asarray(x, dtype=float), chosen, float(reward_value),
                                     np.asarray(x_next, dtype=float)))
-        if not self.group_sizes or len(self.buffer) < self.hyper.batch_size:
+        if not self.net.group_sizes or len(self.buffer) < self.hyper.batch_size:
             return None
         batch = self.buffer.sample(self.hyper.batch_size, self.rng)
         return td_update(self.net, batch, self.hyper.gamma, self.hyper.learning_rate)
@@ -415,8 +406,8 @@ class QTable:
             t[state, a] = q + alpha * (target - q)
 
 
-class TabularQAgent(_Learner):
-    """Classic Q-learning over a discretized observation; same act/learn contract.
+class TabularQAgent:
+    """Classic Q-learning over a discretized observation; the same turn contract as QNetAgent.
 
     The default discretization bins the mean of the observation vector into
     ``n_bins`` equal-width bins over [bin_lo, bin_hi].
@@ -424,8 +415,9 @@ class TabularQAgent(_Learner):
 
     def __init__(self, group_sizes: tuple[int, ...], hyper: TabularHyper,
                  rng: np.random.Generator):
-        super().__init__(group_sizes, hyper, rng)
-        self.table = QTable(hyper.n_bins, self.group_sizes)
+        self.hyper = hyper
+        self.rng = rng
+        self.table = QTable(hyper.n_bins, group_sizes)
 
     def discretize(self, x: np.ndarray) -> int:
         h = self.hyper
@@ -434,11 +426,9 @@ class TabularQAgent(_Learner):
         # Clamped before int(), which cannot take the inf a subnormal-wide range gives.
         return int(min(max(frac * h.n_bins, 0), h.n_bins - 1))
 
-    def act(self, x: np.ndarray) -> tuple[int, ...]:
+    def act(self, x: np.ndarray, epsilon: float) -> tuple[int, ...]:
         state = self.discretize(x)
-        chosen = epsilon_greedy([t[state] for t in self.table.tables], self.epsilon, self.rng)
-        self.step_count += 1
-        return chosen
+        return epsilon_greedy([t[state] for t in self.table.tables], epsilon, self.rng)
 
     def learn(self, x: np.ndarray, chosen: tuple[int, ...], reward_value: float,
               x_next: np.ndarray) -> None:

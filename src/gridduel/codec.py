@@ -67,7 +67,7 @@ def done(d: dict, ctx: str) -> None:
 
 
 def read_int(value, ctx: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:  # True, 1.0 and np.int64(1) are refused
         raise ConfigError(f"{ctx}: expected an integer")
     return value
 

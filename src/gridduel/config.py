@@ -117,18 +117,18 @@ class ExperimentConfig:
     allow_single_class: bool = False
 
     def __post_init__(self) -> None:
-        # Every invariant is checked here, so a config that is decoded, constructed
+        # Every invariant is checked here, read_int's too, so a config that is decoded, constructed
         # in Python or changed by `replace` (e.g. a CLI override) passes the same checks.
         object.__setattr__(self, "agents", tuple(self.agents))
         if not self.name:
             raise ConfigError("name: must not be empty")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= read_int(self.seed, "seed") < 2**64:
             raise ConfigError("seed: must be a 64-bit unsigned integer")
         if not self.agents:
             raise ConfigError("agents: at least one agent is required")
-        if self.rounds < 0:
+        if read_int(self.rounds, "schedule.rounds") < 0:
             raise ConfigError("schedule.rounds: must be >= 0")
-        if self.steps_per_turn < 1:
+        if read_int(self.steps_per_turn, "schedule.steps_per_turn") < 1:
             raise ConfigError("schedule.steps_per_turn: must be >= 1")
         if self.rounds * self.steps_per_turn * len(self.agents) > MAX_STEPS:
             raise ConfigError(f"schedule: rounds x steps_per_turn x agents must be <= {MAX_STEPS}; got "
@@ -159,7 +159,7 @@ class ExperimentConfig:
                 if quantity != V_QUANTITY:
                     raise ConfigError(f"agents[{i}].sensors[{j}].quantity: "
                                       f"unsupported quantity {quantity!r}")
-                if not 0 <= bus < grid.n_bus:
+                if not 0 <= read_int(bus, f"agents[{i}].sensors[{j}].bus") < grid.n_bus:
                     raise ConfigError(f"agents[{i}]: sensor references missing bus {bus}")
             for ref in spec.actuators:
                 if ref.index >= len(getattr(grid, ref.kind + "s")):  # ActuatorRef rejects a negative index

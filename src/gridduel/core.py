@@ -280,7 +280,8 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
 
     Rounds advance the agents in their configured order; each agent takes
     ``steps_per_turn`` turns of observe / act / apply / re-solve / reward /
-    learn before the next agent moves.  Everything is driven by generators
+    learn before the next agent moves, its n-th turn (from 0) acting with its
+    learner's epsilon schedule at n.  Everything is driven by generators
     derived from the experiment seed, so identical configs replay exactly.
     A turn whose TD loss is not finite is recorded and ends the run, with
     ``stopped`` naming the agent and the step.
@@ -293,18 +294,18 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
         for spec, stream in zip(config.agents, streams)
     ]
 
-    turns = ((spec, runner) for _ in range(config.rounds)
+    turns = ((spec, runner, rnd * config.steps_per_turn + s) for rnd in range(config.rounds)
              for spec, runner in zip(config.agents, runners)
-             for _ in range(config.steps_per_turn))
+             for s in range(config.steps_per_turn))
     world = initial_world(grid)
     init = world
     # One solve per distinct actuator setting; the memo dies with the run.
     solutions = {actuator_state(grid): world.solution}
     records: list[StepRecord] = []
     stopped = None
-    for spec, runner in turns:
+    for spec, runner, n in turns:
         x = observe(world, spec.sensors)
-        chosen = runner.act(x)
+        chosen = runner.act(x, spec.learner.epsilon.value(n))
         labels = tuple(agents_mod.LABELS_BY_KIND[ref.kind][i] for ref, i in zip(spec.actuators, chosen))
         world = apply_actions(world, dict(zip(spec.actuators, labels)), solutions)
         x_next = observe(world, spec.sensors)

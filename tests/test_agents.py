@@ -102,6 +102,21 @@ def test_actuator_ref_rejects_an_index_that_is_not_a_non_negative_int(index):
         ActuatorRef("transformer", index)
 
 
+@pytest.mark.parametrize("value", [True, 2.5, 2.0, np.int64(2)],
+                         ids=["true", "float", "whole_float", "numpy_int"])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: QNetHyper(replay_capacity=v, batch_size=1), "replay_capacity"),
+    (lambda v: QNetHyper(batch_size=v), "batch_size"),
+    (lambda v: QNetHyper(hidden=v), "hidden"),
+    (lambda v: TabularHyper(n_bins=v), "n_bins"),
+    (lambda v: EpsilonSchedule(decay_steps=v), "epsilon_decay_steps"),
+], ids=["replay_capacity", "batch_size", "hidden", "n_bins", "decay_steps"])
+def test_learner_sizes_must_be_ints(make, name, value):
+    # Each ran from Python and failed in the run or left a saved config that does not reload.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make(value)
+
+
 # -- q-network forward ----------------------------------------------------------
 
 
@@ -463,18 +478,11 @@ def test_qnet_agent_act_is_deterministic_given_seed():
 
     a, b = make(), make()
     xs = [np.array([1.0, 1.01, 0.99]), np.array([1.02, 1.0, 1.0])]
-    for x in xs:
-        ca, cb = a.act(x), b.act(x)
+    for n, x in enumerate(xs):
+        epsilon = a.hyper.epsilon.value(n)
+        ca, cb = a.act(x, epsilon), b.act(x, epsilon)
         assert ca == cb
         assert a.learn(x, ca, 0.1, x) == b.learn(x, cb, 0.1, x)
-
-
-def test_qnet_agent_epsilon_follows_schedule():
-    agent = QNetAgent(_tap_groups(), n_in=2, hyper=QNetHyper(), rng=np.random.default_rng(0))
-    assert agent.epsilon == 1.0
-    for _ in range(1000):
-        agent.act(np.ones(2))
-    assert agent.epsilon == 0.05
 
 
 # poc's attacker (six taps) and defender (four generators, six loads) action groups.
@@ -494,7 +502,7 @@ def drive_poc_shaped(learners):
     losses = []
     for step in range(150):
         agent = learners[step % 2]
-        chosen = agent.act(x)
+        chosen = agent.act(x, agent.hyper.epsilon.value(step // 2))  # the agent's own turn index
         digest.update(repr(chosen).encode())
         x_next = world.uniform(0.9, 1.1, size=14)
         losses.append(agent.learn(x, chosen, float(world.normal()), x_next))
@@ -624,9 +632,9 @@ def test_subnormal_bin_range_clamps_to_the_edge_bins():
 
 
 def test_tabular_agent_act_learn_contract(rng):
-    agent = TabularQAgent(_tap_groups(1), TabularHyper(epsilon=EpsilonSchedule(0.0, 0.0, 1)), rng)
+    agent = TabularQAgent(_tap_groups(1), TabularHyper(), rng)
     x = np.array([1.0, 1.0])
-    chosen = agent.act(x)
+    chosen = agent.act(x, 0.0)
     assert chosen == (0,)  # all-zero table ties break to index 0
     agent.learn(x, chosen, 1.0, x)
     # One update with alpha=0.1, gamma=0.95 from zero: Q = 0.1 * (1.0 + 0).

@@ -520,10 +520,24 @@ def _with_agent(i, **changes):
         (_with_agent(0, actuators=lambda a: a.actuators + a.actuators[:1]),
          r"agents\[0\]: lists actuator transformer:0 twice"),
         (lambda cfg: replace(cfg, name=""), "^name: must not be empty$"),
+        # Each of these once ran wrong or failed late: in SeedSequence, as a run of 1, in
+        # observe, or in a save_config or load_config of the saved text.
+        (lambda cfg: replace(cfg, seed=1.5), "^seed: expected an integer$"),
+        (lambda cfg: replace(cfg, seed=True), "^seed: expected an integer$"),
+        (lambda cfg: replace(cfg, rounds=2.0), r"^schedule\.rounds: expected an integer$"),
+        (lambda cfg: replace(cfg, rounds=True), r"^schedule\.rounds: expected an integer$"),
+        (lambda cfg: replace(cfg, steps_per_turn=True), r"^schedule\.steps_per_turn: expected an integer$"),
+        (_with_agent(0, sensors=lambda a: ((1.0, "v_pu"),) + a.sensors[1:]),
+         r"^agents\[0\]\.sensors\[0\]\.bus: expected an integer$"),
+        (_with_agent(0, sensors=lambda a: ((np.int64(1), "v_pu"),) + a.sensors[1:]),
+         r"^agents\[0\]\.sensors\[0\]\.bus: expected an integer$"),
+        (_with_agent(0, sensors=lambda a: ((True, "v_pu"),) + a.sensors[1:]),
+         r"^agents\[0\]\.sensors\[0\]\.bus: expected an integer$"),
     ],
     ids=["missing_actuator_device", "missing_sensor_bus", "unknown_grid_token", "empty_sensors",
          "non_voltage_sensor", "shared_actuator", "duplicate_agent_id", "single_class",
-         "actuator_listed_twice", "empty_name"],
+         "actuator_listed_twice", "empty_name", "float_seed", "true_seed", "float_rounds", "true_rounds",
+         "true_steps_per_turn", "float_sensor_bus", "numpy_int_sensor_bus", "true_sensor_bus"],
 )
 def test_python_built_config_is_checked(edit, message):
     """A config built in Python or changed with `replace` goes through the checks that a loaded one does."""

@@ -20,6 +20,8 @@ from gridduel.agents import (
     LOAD_SCALING_STEP,
     TAP_STEP,
     ActuatorRef,
+    EpsilonSchedule,
+    QNetAgent,
     QNetHyper,
     RewardParams,
     TabularHyper,
@@ -537,6 +539,43 @@ def test_steps_per_turn_repeats_each_agent():
     log = run_experiment(experiment_config(rounds=1, steps_per_turn=2))
     assert [rec.agent_id for rec in log.steps] == ["attacker", "attacker", "defender", "defender"]
     assert [rec.t for rec in log.steps] == [1, 2, 3, 4]
+
+
+def recording_epsilons(monkeypatch):
+    """Wrap both learners' act; returns {learner class name: [epsilon of each call]}."""
+    calls = {}
+    for cls in (QNetAgent, TabularQAgent):
+        def act(self, x, epsilon, _act=cls.act):
+            calls.setdefault(type(self).__name__, []).append(epsilon)
+            return _act(self, x, epsilon)
+        monkeypatch.setattr(cls, "act", act)
+    return calls
+
+
+def test_each_turn_acts_with_its_agents_epsilon(monkeypatch):
+    """Agent k's n-th act, counted over rounds and steps_per_turn, gets its own schedule's value(n)."""
+    qnet = QNetHyper(hidden=8, batch_size=4, replay_capacity=64, epsilon=EpsilonSchedule(1.0, 0.1, 5))
+    tabular = TabularHyper(epsilon=EpsilonSchedule(0.5, 0.2, 3))
+    cfg = experiment_config(rounds=4, steps_per_turn=2)
+    agents = tuple(dataclasses.replace(spec, learner=h) for spec, h in zip(cfg.agents, (qnet, tabular)))
+    calls = recording_epsilons(monkeypatch)
+    run_experiment(dataclasses.replace(cfg, agents=agents))
+    assert calls == {"QNetAgent": [qnet.epsilon.value(n) for n in range(8)],
+                     "TabularQAgent": [tabular.epsilon.value(n) for n in range(8)]}
+    # Both the decaying part and the constant end are covered.
+    assert calls["QNetAgent"][4] > 0.1 and calls["QNetAgent"][5:] == [0.1] * 3
+    assert calls["TabularQAgent"][2] > 0.2 and calls["TabularQAgent"][3:] == [0.2] * 5
+
+
+def test_poc_explores_to_its_last_turn(monkeypatch):
+    """poc's 1000 attacker turns end at n = 999, one short of its schedule's 1000 decay steps."""
+    cfg = load_config_path(fixture_path("poc.json"))
+    calls = recording_epsilons(monkeypatch)
+    run_experiment(cfg)
+    attacker = calls["QNetAgent"][0::2]
+    assert len(attacker) == cfg.rounds == 1000
+    assert attacker[-1] == cfg.agents[0].learner.epsilon.value(999) > cfg.agents[0].learner.epsilon.end
+    assert round(attacker[-1], 5) == 0.05095
 
 
 def test_per_agent_time_is_strictly_increasing():

@@ -65,6 +65,7 @@ def test_tracer_counts_every_solver_call(bench):
     The 6 steps repeat no grid, so there is one solve per step and the initial
     one.  The admittance matrix is built only when the taps move: on the
     initial solve and on each attacker turn with a label other than hold.
+    Each step calls ``act(x, epsilon)`` and ``learn`` once, through the wraps.
     """
     spans, run = bench
     tracer = spans.Tracer()
@@ -74,5 +75,7 @@ def test_tracer_counts_every_solver_call(bench):
     assert len(log.steps) == 6
     for name in ("powerflow.solve", "grid.injections"):
         assert calls.get(name) == len(log.steps) + 1, name
+    for name in ("agents.act", "agents.learn"):
+        assert calls.get(name) == len(log.steps), name
     tap_moves = sum(rec.agent_id == "attacker" and set(rec.y) != {gridduel.agents.HOLD} for rec in log.steps)
     assert calls.get("grid.admittance") == 1 + tap_moves
