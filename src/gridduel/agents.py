@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .codec import read_float
+
 ATTACKER = "attacker"
 DEFENDER = "defender"
 HOLD = "hold"
@@ -43,6 +45,8 @@ class RewardParams:
     agent_class: str = DEFENDER
 
     def __post_init__(self) -> None:
+        for name in ("mu", "sigma"):  # an int is stored as the float its text reloads as
+            object.__setattr__(self, name, read_float(getattr(self, name), name))
         if not (self.mu > 0 and self.mu * self.mu < math.inf):  # reward squares x_mean - mu
             raise ValueError("mu must be > 0, with mu**2 finite")
         if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):  # * gives inf where ** raises
@@ -51,6 +55,7 @@ class RewardParams:
             object.__setattr__(self, "c", boundary_offset(self.sigma))
             if not 0.0 < self.c < 1.0:
                 raise ValueError(f"sigma gives a default c of {self.c!r}, outside (0, 1); give 'c' explicitly")
+        object.__setattr__(self, "c", read_float(self.c, "c"))
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must be in (0, 1)")
         if self.agent_class not in (ATTACKER, DEFENDER):
@@ -267,6 +272,8 @@ class EpsilonSchedule:
     def __post_init__(self) -> None:
         if type(self.decay_steps) is not int:  # True or 2.5 would run, and its saved config not reload
             raise ValueError(f"epsilon_decay_steps must be an integer, got {self.decay_steps!r}")
+        for name in ("start", "end"):  # as RewardParams.mu
+            object.__setattr__(self, name, read_float(getattr(self, name), f"epsilon_{name}"))
         if not 0.0 <= self.start <= 1.0:
             raise ValueError("epsilon_start must be in [0, 1]")
         if not 0.0 <= self.end <= 1.0:
@@ -323,6 +330,8 @@ class QNetHyper:
         for name in ("replay_capacity", "batch_size", "hidden"):  # as EpsilonSchedule.decay_steps
             if type(value := getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("gamma", "learning_rate"):  # as RewardParams.mu
+            object.__setattr__(self, name, read_float(getattr(self, name), name))
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         if not self.learning_rate >= 0.0:
@@ -347,6 +356,8 @@ class TabularHyper:
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule, metadata={"key": "epsilon_"})
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "gamma", "bin_lo", "bin_hi"):  # as RewardParams.mu
+            object.__setattr__(self, name, read_float(getattr(self, name), name))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if not 0.0 <= self.gamma < 1.0:

@@ -33,7 +33,7 @@ from .agents import (
     TabularQAgent,
 )
 from .codec import (READERS, WRITERS, ConfigError, as_dict, as_list, decode, done, encode, json_object,
-                    json_pieces, plain, pop, read_int, read_str)
+                    json_pieces, plain, pop, read_bool, read_int, read_str)
 from .core import PerformanceConfig, V_QUANTITY
 from .grid import GridModel, arl_poc_grid
 
@@ -66,7 +66,8 @@ class OutputPaths:
             value = getattr(self, name)
             if not value and not (value is None and name == "run_log_path"):  # None: no run log
                 raise ConfigError(f"outputs.{name}: must not be empty")
-            if value is not None and (first := seen.setdefault(os.path.realpath(value), name)) != name:
+            path = None if value is None else os.path.realpath(read_str(value, f"outputs.{name}"))
+            if path is not None and (first := seen.setdefault(path, name)) != name:
                 raise ConfigError(f"outputs.{name}: names the same file as outputs.{first}")
 
 
@@ -117,11 +118,12 @@ class ExperimentConfig:
     allow_single_class: bool = False
 
     def __post_init__(self) -> None:
-        # Every invariant is checked here, read_int's too, so a config that is decoded, constructed
+        # Every invariant is checked here, the codec readers' too, so a config that is decoded, constructed
         # in Python or changed by `replace` (e.g. a CLI override) passes the same checks.
         object.__setattr__(self, "agents", tuple(self.agents))
-        if not self.name:
+        if not read_str(self.name, "name"):
             raise ConfigError("name: must not be empty")
+        read_bool(self.allow_single_class, "allow_single_class")
         if not 0 <= read_int(self.seed, "seed") < 2**64:
             raise ConfigError("seed: must be a 64-bit unsigned integer")
         if not self.agents:
@@ -139,7 +141,7 @@ class ExperimentConfig:
 
         ids_seen: set[str] = set()
         for i, spec in enumerate(self.agents):
-            if not spec.id or any(c in spec.id for c in ",\n\r"):  # a cell of the agent CSV
+            if not read_str(spec.id, f"agents[{i}].id") or any(c in spec.id for c in ",\n\r"):  # an agent CSV cell
                 raise ConfigError(f"agents[{i}].id: must be non-empty, without ',', '\\n' or '\\r'; "
                                   f"got {spec.id!r}")
             if spec.id in ids_seen:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import agents as agents_mod
 from .agents import ActuatorRef, reward as reward_fn
+from .codec import read_float
 from .grid import GridModel, actuator_state
 from .powerflow import PowerFlowSolution, solve_newton_raphson
 
@@ -63,6 +64,8 @@ class PerformanceConfig:
     v_hi: float = 1.1
 
     def __post_init__(self) -> None:
+        for name in ("p_star", "p_fail", "v_lo", "v_hi"):  # an int is stored as the float its text reloads as
+            object.__setattr__(self, name, read_float(getattr(self, name), name))
         if not 0.0 <= self.p_fail < self.p_star <= 1.0:
             raise ValueError("require 0 <= p_fail < p_star <= 1")
         if not self.v_lo < 1.0 < self.v_hi:

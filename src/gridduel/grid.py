@@ -6,10 +6,12 @@ transformers, PQ generators (modelled as negative loads) and scalable loads.
 A :class:`GridModel` is checked once, when it is built: the constructor, the
 JSON decoder and ``dataclasses.replace`` all store its devices as tuples and
 run :meth:`GridModel.validate` on them, so a list edited later cannot change a
-checked grid, and the solver never checks it again.  Actuator moves go through
-one copy helper, :meth:`GridModel.with_targets`, which clamps any number of
-devices inside limits the grid already holds, so its copy skips the re-check;
-the ``with_*`` helpers are its one-device form.
+checked grid, and the solver never checks it again.  One table names each
+device kind's actuated settings and their limit fields: ``validate`` checks
+them, :meth:`GridModel.with_targets` clamps a move between them and
+:func:`actuator_state` reads them.  ``with_targets`` copies any number of devices
+inside limits the grid already holds, so its copy skips the re-check; the
+``with_*`` helpers are its one-device form.
 """
 
 from __future__ import annotations
@@ -26,8 +28,12 @@ PV = "pv"
 PQ = "pq"
 
 _BUS_KINDS = (SLACK, PV, PQ)
-# Device fields that hold a bus id; each indexes the buses, so it must be an int.
-_BUS_INDEX_FIELDS = ("id", "from_bus", "to_bus", "bus")
+# Each device kind's actuated settings, as (field, lower-limit field, upper-limit field).
+_SETTINGS = {
+    "transformers": (("tap_pos", "tap_min", "tap_max"),),
+    "generators": (("p_mw", "p_min_mw", "p_max_mw"), ("q_mvar", "q_min_mvar", "q_max_mvar")),
+    "loads": (("scaling", "scaling_min", "scaling_max"),),
+}
 
 
 class ModelValidationError(ValueError):
@@ -126,12 +132,19 @@ class GridModel:
             raise ModelValidationError("grid has no buses")
         for kind in ("buses", "lines", "transformers", "generators", "loads"):
             for i, device in enumerate(getattr(self, kind)):
+                values = vars(device)
                 for f in fields(device):
-                    value = getattr(device, f.name)
-                    if f.name in _BUS_INDEX_FIELDS and type(value) is not int:  # not True, 1.0 or np.int64(1)
+                    value = values[f.name]
+                    if f.type == "int" and type(value) is not int:  # not True, 1.0 or np.int64(1)
                         raise ModelValidationError(f"{kind}[{i}]: {f.name} must be an integer")
+                    if f.name in ("from_bus", "to_bus", "bus") and not 0 <= value < n:
+                        raise ModelValidationError(f"{kind}[{i}]: bus {value} does not exist")
                     if isinstance(value, float) and not math.isfinite(value):
                         raise ModelValidationError(f"{kind}[{i}]: {f.name} must be finite")
+                for name, lo, hi in _SETTINGS.get(kind, ()):
+                    if not values[lo] <= values[name] <= values[hi]:
+                        raise ModelValidationError(
+                            f"{kind}[{i}]: {name} {values[name]} outside [{values[lo]}, {values[hi]}]")
         ids = [b.id for b in self.buses]
         if sorted(ids) != list(range(n)):
             raise ModelValidationError(
@@ -156,43 +169,18 @@ class GridModel:
             for i, br in enumerate(getattr(self, kind)):
                 if br.from_bus == br.to_bus:
                     raise ModelValidationError(f"{kind}[{i}]: from_bus equals to_bus")
-                for end in (br.from_bus, br.to_bus):
-                    if not 0 <= end < n:
-                        raise ModelValidationError(f"{kind}[{i}]: bus {end} does not exist")
                 if br.r_pu == 0.0 and br.x_pu == 0.0:
                     raise ModelValidationError(f"{kind}[{i}]: zero-impedance branch")
         for i, ln in enumerate(self.lines):
             if ln.b_shunt_pu < 0:
                 raise ModelValidationError(f"lines[{i}]: b_shunt_pu must be >= 0")
         for i, tr in enumerate(self.transformers):
-            if not all(type(pos) is int for pos in (tr.tap_pos, tr.tap_min, tr.tap_max)):
-                raise ModelValidationError(f"transformers[{i}]: tap_pos, tap_min and tap_max must be integers")
-            if not tr.tap_min <= tr.tap_pos <= tr.tap_max:
-                raise ModelValidationError(
-                    f"transformers[{i}]: tap_pos {tr.tap_pos} outside "
-                    f"[{tr.tap_min}, {tr.tap_max}]"
-                )
             for pos in (tr.tap_min, tr.tap_max):
                 if 1.0 + pos * tr.tap_step_pu <= 0:
-                    raise ModelValidationError(
-                        f"transformers[{i}]: tap ratio not positive at tap {pos}"
-                    )
+                    raise ModelValidationError(f"transformers[{i}]: tap ratio not positive at tap {pos}")
         for i, g in enumerate(self.generators):
-            if not 0 <= g.bus < n:
-                raise ModelValidationError(f"generators[{i}]: bus {g.bus} does not exist")
             if self.buses[g.bus].kind != PQ:
-                raise ModelValidationError(
-                    f"generators[{i}]: bus {g.bus} must be a pq bus (PQ-controlled device)"
-                )
-            if not g.p_min_mw <= g.p_mw <= g.p_max_mw:
-                raise ModelValidationError(f"generators[{i}]: p_mw outside limits")
-            if not g.q_min_mvar <= g.q_mvar <= g.q_max_mvar:
-                raise ModelValidationError(f"generators[{i}]: q_mvar outside limits")
-        for i, ld in enumerate(self.loads):
-            if not 0 <= ld.bus < n:
-                raise ModelValidationError(f"loads[{i}]: bus {ld.bus} does not exist")
-            if not ld.scaling_min <= ld.scaling <= ld.scaling_max:
-                raise ModelValidationError(f"loads[{i}]: scaling outside bounds")
+                raise ModelValidationError(f"generators[{i}]: bus {g.bus} must be a pq bus (PQ-controlled device)")
         self._check_connected()
 
     def _check_connected(self) -> None:
@@ -225,21 +213,29 @@ class GridModel:
         """One copy with each listed device moved to its target, clamped to its limits.
 
         The mappings take a device index to a tap position, a ``(p_mw, q_mvar)``
-        setpoint or a load scaling.  A kind with no targets keeps its tuple, and
-        no targets at all return the grid itself.  Clamping keeps every device
-        inside limits the grid already holds, so the copy skips :meth:`validate`.
-        A missing index raises IndexError, a NaN target ValueError and a
-        non-integer tap position TypeError.
+        setpoint or a load scaling: one value per setting in the kind's table row,
+        each clamped between its limit fields.  A kind with no targets keeps its
+        tuple, and no targets at all return the grid itself.  Clamping keeps every
+        device inside limits the grid already holds, so the copy skips :meth:`validate`.
+        A missing index raises IndexError, a NaN target or one of the wrong arity
+        ValueError, and a non-integer target for a field declared ``int`` TypeError.
         """
         new = self
         for kind, targets in (("transformers", transformers), ("generators", generators), ("loads", loads)):
             if not targets:
                 continue
-            devices, move_to = list(getattr(self, kind)), _MOVE_TO[kind]
+            devices, settings = list(getattr(self, kind)), _SETTINGS[kind]
             for index, target in targets.items():
                 if not 0 <= index < len(devices):
                     raise IndexError(f"{kind}[{index}] does not exist")
-                devices[index] = move_to(devices[index], target)
+                device = devices[index]
+                values = vars(moved := object.__new__(type(device)))  # a copy: no constructor, no re-check
+                values.update(vars(device))
+                for (name, lo, hi), value in zip(settings, target if len(settings) > 1 else (target,), strict=True):
+                    if type(device).__annotations__[name] == "int":  # a tap: 2.5 raises, np.int64(3) is stored as 3
+                        value = operator.index(value)
+                    values[name] = _clamp(value, values[lo], values[hi])
+                devices[index] = moved
             if new is self:  # a shallow copy, carrying the solver's _topology entry
                 new = object.__new__(type(self))
                 vars(new).update(vars(self))
@@ -259,27 +255,14 @@ class GridModel:
         return self.with_targets(loads={index: scaling})
 
 
-# How with_targets moves one device of each kind to its target: a constructor
-# call with every field in declaration order, at half the cost of
-# dataclasses.replace.
-_MOVE_TO = {
-    "transformers": lambda tr, tap_pos: Transformer(
-        tr.from_bus, tr.to_bus, tr.r_pu, tr.x_pu, _clamp(operator.index(tap_pos), tr.tap_min, tr.tap_max),
-        tr.tap_min, tr.tap_max, tr.tap_step_pu),
-    "generators": lambda g, pq: Generator(
-        g.bus, _clamp(pq[0], g.p_min_mw, g.p_max_mw), _clamp(pq[1], g.q_min_mvar, g.q_max_mvar),
-        g.p_min_mw, g.p_max_mw, g.q_min_mvar, g.q_max_mvar),
-    "loads": lambda ld, scaling: Load(
-        ld.bus, ld.p_mw, ld.q_mvar, _clamp(scaling, ld.scaling_min, ld.scaling_max),
-        ld.scaling_min, ld.scaling_max),
-}
+# Each kind's settings as actuator_state keys them: a tap, a (p_mw, q_mvar) pair, a scaling.
+_READ_SETTINGS = {kind: operator.attrgetter(*(name for name, _, _ in settings))
+                  for kind, settings in _SETTINGS.items()}
 
 
 def actuator_state(grid: GridModel) -> tuple:
     """Every actuator's setting: all that tells apart the grids of one run."""
-    return (tuple([tr.tap_pos for tr in grid.transformers]),
-            tuple([(g.p_mw, g.q_mvar) for g in grid.generators]),
-            tuple([ld.scaling for ld in grid.loads]))
+    return tuple([tuple(map(read, getattr(grid, kind))) for kind, read in _READ_SETTINGS.items()])
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:

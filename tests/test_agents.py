@@ -117,6 +117,27 @@ def test_learner_sizes_must_be_ints(make, name, value):
         make(value)
 
 
+@pytest.mark.parametrize("value", [True, "0.5", [0.5]], ids=["true", "str", "list"])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: RewardParams(mu=v), "mu"),
+    (lambda v: RewardParams(sigma=v), "sigma"),
+    (lambda v: RewardParams(c=v), "c"),
+    (lambda v: EpsilonSchedule(start=v), "epsilon_start"),
+    (lambda v: EpsilonSchedule(end=v), "epsilon_end"),
+    (lambda v: QNetHyper(gamma=v), "gamma"),
+    (lambda v: QNetHyper(learning_rate=v), "learning_rate"),
+    (lambda v: TabularHyper(alpha=v), "alpha"),
+    (lambda v: TabularHyper(gamma=v), "gamma"),
+    (lambda v: TabularHyper(bin_lo=v), "bin_lo"),
+    (lambda v: TabularHyper(bin_hi=v), "bin_hi"),
+], ids=["mu", "sigma", "c", "epsilon_start", "epsilon_end", "qnet_gamma", "learning_rate", "alpha",
+        "tabular_gamma", "bin_lo", "bin_hi"])
+def test_learner_and_reward_numbers_must_be_numbers(make, name, value):
+    # A bool ran from Python and left a saved config that does not reload; a string or a list failed late.
+    with pytest.raises(ValueError, match=f"^{name}: expected a number$"):
+        make(value)
+
+
 # -- q-network forward ----------------------------------------------------------
 
 

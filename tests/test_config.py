@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridduel.codec
-from gridduel.agents import ActuatorRef, RewardParams
+from gridduel.agents import ActuatorRef, EpsilonSchedule, RewardParams, TabularHyper
 from gridduel.cli import main
 from gridduel.config import ConfigError, fixture_path, load_config, load_config_path, save_config
+from gridduel.core import PerformanceConfig
 
 POC = fixture_path("poc.json")
 LONE = fixture_path("lone_attacker.json")
@@ -533,11 +534,26 @@ def _with_agent(i, **changes):
          r"^agents\[0\]\.sensors\[0\]\.bus: expected an integer$"),
         (_with_agent(0, sensors=lambda a: ((True, "v_pu"),) + a.sensors[1:]),
          r"^agents\[0\]\.sensors\[0\]\.bus: expected an integer$"),
+        # Each of these ran, and its saved text did not reload.
+        (lambda cfg: replace(cfg, allow_single_class=1), "^allow_single_class: expected a boolean$"),
+        (lambda cfg: replace(cfg, name=5), "^name: expected a string$"),
+        (lambda cfg: replace(cfg, performance=PerformanceConfig(p_star=True)), "^p_star: expected a number$"),
+        (_with_agent(0, reward=lambda a: replace(a.reward, mu=True)), "^mu: expected a number$"),
+        (_with_agent(0, learner=lambda a: replace(a.learner, epsilon=EpsilonSchedule(end=True))),
+         "^epsilon_end: expected a number$"),
+        (_with_agent(0, learner=lambda a: replace(a.learner, learning_rate=True)), "^learning_rate: expected a number$"),
+        (_with_agent(0, learner=lambda a: TabularHyper(bin_lo=False)), "^bin_lo: expected a number$"),
+        # And each of these raised a bare TypeError.
+        (_with_agent(0, id=lambda a: 5), r"^agents\[0\]\.id: expected a string$"),
+        (lambda cfg: replace(cfg, outputs=replace(cfg.outputs, metrics_path=5)),
+         r"^outputs\.metrics_path: expected a string$"),
     ],
     ids=["missing_actuator_device", "missing_sensor_bus", "unknown_grid_token", "empty_sensors",
          "non_voltage_sensor", "shared_actuator", "duplicate_agent_id", "single_class",
          "actuator_listed_twice", "empty_name", "float_seed", "true_seed", "float_rounds", "true_rounds",
-         "true_steps_per_turn", "float_sensor_bus", "numpy_int_sensor_bus", "true_sensor_bus"],
+         "true_steps_per_turn", "float_sensor_bus", "numpy_int_sensor_bus", "true_sensor_bus",
+         "int_allow_single_class", "int_name", "true_p_star", "true_mu", "true_epsilon_end", "true_learning_rate",
+         "false_bin_lo", "int_agent_id", "int_output_path"],
 )
 def test_python_built_config_is_checked(edit, message):
     """A config built in Python or changed with `replace` goes through the checks that a loaded one does."""
@@ -545,6 +561,15 @@ def test_python_built_config_is_checked(edit, message):
     assert cfg.agents[0].id == "attacker"
     with pytest.raises(ConfigError, match=message):
         edit(cfg)
+
+
+def test_an_int_in_a_float_field_keeps_the_fingerprint_of_its_reloaded_text():
+    """Each float field stores the float that read_float returns, so 1 saves as the 1.0 it reloads as."""
+    cfg = load_config_path(POC)
+    built = replace(cfg, performance=PerformanceConfig(p_star=1),
+                    agents=(replace(cfg.agents[0], learner=TabularHyper(bin_hi=2)), *cfg.agents[1:]))
+    assert type(built.performance.p_star) is float and type(built.agents[0].learner.bin_hi) is float
+    assert built.fingerprint() == load_config(save_config(built)).fingerprint()
 
 
 def test_a_config_keeps_the_agents_it_checked():

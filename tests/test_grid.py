@@ -13,6 +13,7 @@ from gridduel.grid import (
     GridModel,
     Line,
     ModelValidationError,
+    actuator_state,
     arl_poc_grid,
     build_admittance_matrix,
 )
@@ -111,7 +112,7 @@ def test_disconnected_graph_rejected():
          "zero-impedance"),
         (lambda g: dataclasses.replace(
             g, transformers=(dataclasses.replace(g.transformers[0], tap_pos=2.5),) + g.transformers[1:]),
-         "must be integers"),
+         r"transformers\[0\]: tap_pos must be an integer"),
         (lambda g: dataclasses.replace(g, s_base_mva=0.0), "s_base_mva must be > 0"),
         (lambda g: dataclasses.replace(g, buses=()), "grid has no buses"),
         (lambda g: dataclasses.replace(g, buses=(g.buses[1], g.buses[0]) + g.buses[2:]),
@@ -127,10 +128,10 @@ def test_disconnected_graph_rejected():
          r"transformers\[0\]: tap ratio not positive at tap -9"),
         (lambda g: _with_first(g, "generators", bus=99), r"generators\[0\]: bus 99 does not exist"),
         (lambda g: _with_first(g, "generators", bus=0), r"generators\[0\]: bus 0 must be a pq bus"),
-        (lambda g: _with_first(g, "generators", p_mw=2.0), r"generators\[0\]: p_mw outside limits"),
-        (lambda g: _with_first(g, "generators", q_mvar=0.5), r"generators\[0\]: q_mvar outside limits"),
+        (lambda g: _with_first(g, "generators", p_mw=2.0), r"generators\[0\]: p_mw 2\.0 outside \[0\.0, 1\.0\]"),
+        (lambda g: _with_first(g, "generators", q_mvar=0.5), r"generators\[0\]: q_mvar 0\.5 outside \[-0\.3, 0\.3\]"),
         (lambda g: _with_first(g, "loads", bus=99), r"loads\[0\]: bus 99 does not exist"),
-        (lambda g: _with_first(g, "loads", scaling=2.0), r"loads\[0\]: scaling outside bounds"),
+        (lambda g: _with_first(g, "loads", scaling=2.0), r"loads\[0\]: scaling 2\.0 outside \[0\.5, 1\.5\]"),
         (lambda g: _with_first(g, "lines", to_bus=1.0), r"lines\[0\]: to_bus must be an integer"),
         (lambda g: _with_first(g, "lines", to_bus=True), r"lines\[0\]: to_bus must be an integer"),
         (lambda g: _with_first(g, "transformers", from_bus=2.0), r"transformers\[0\]: from_bus must be an integer"),
@@ -138,6 +139,8 @@ def test_disconnected_graph_rejected():
         (lambda g: _with_first(g, "loads", bus=8.0), r"loads\[0\]: bus must be an integer"),
         (lambda g: _with_first(g, "loads", bus=np.int64(8)), r"loads\[0\]: bus must be an integer"),
         (lambda g: _with_first(g, "buses", id=0.0), r"buses\[0\]: id must be an integer"),
+        (lambda g: _with_first(g, "transformers", to_bus=99), r"transformers\[0\]: bus 99 does not exist"),
+        (lambda g: _with_first(g, "transformers", tap_max=9.0), r"transformers\[0\]: tap_max must be an integer"),
     ],
 )
 def test_validation_rejections(poc_grid, mutate, message):
@@ -312,6 +315,15 @@ def test_a_move_changes_only_its_actuated_fields(name, targets, moved):
     before, after = getattr(grid, kind)[0], getattr(getattr(grid, name)(0, *targets), kind)[0]
     assert type(after) is type(before)
     assert {f.name for f in dataclasses.fields(before) if getattr(after, f.name) != getattr(before, f.name)} == moved
+
+def test_actuator_state_keeps_its_shape(poc_grid):
+    """The per-run memo's key: per kind, a tap, a (p_mw, q_mvar) pair or a scaling per device."""
+    grid = poc_grid.with_targets(transformers={1: 3}, generators={2: (0.7, -0.1)}, loads={0: 1.2})
+    assert actuator_state(grid) == (tuple([tr.tap_pos for tr in grid.transformers]),
+                                    tuple([(g.p_mw, g.q_mvar) for g in grid.generators]),
+                                    tuple([ld.scaling for ld in grid.loads]))
+    assert actuator_state(grid)[:2] == ((0, 3, 0, 0, 0, 0), ((0.5, 0.0), (0.5, 0.0), (0.7, -0.1), (0.5, 0.0)))
+
 
 def test_grid_serialization_round_trip(poc_grid):
     # GridModel -> experiment JSON (inline grid) -> GridModel is the identity.

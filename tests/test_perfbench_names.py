@@ -66,11 +66,12 @@ def test_tracer_counts_every_solver_call(bench):
     one.  The admittance matrix is built only when the taps move: on the
     initial solve and on each attacker turn with a label other than hold.
     Each step calls ``act(x, epsilon)`` and ``learn`` once, through the wraps.
+    Only the set-up grid is validated: a move's copy skips the constructor's check.
     """
     spans, run = bench
-    tracer = spans.Tracer()
+    tracer, cfg = spans.Tracer(), tabular_poc(run)  # the config's own checks build grids: outside the trace
     with tracer.installed(gridduel):
-        log = gridduel.run_experiment(tabular_poc(run))
+        log = gridduel.run_experiment(cfg)
     calls = {name: s["calls"] for name, s in tracer.summary().items()}
     assert len(log.steps) == 6
     for name in ("powerflow.solve", "grid.injections"):
@@ -79,3 +80,4 @@ def test_tracer_counts_every_solver_call(bench):
         assert calls.get(name) == len(log.steps), name
     tap_moves = sum(rec.agent_id == "attacker" and set(rec.y) != {gridduel.agents.HOLD} for rec in log.steps)
     assert calls.get("grid.admittance") == 1 + tap_moves
+    assert calls.get("grid.validate") == 1
