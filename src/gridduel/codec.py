@@ -117,14 +117,20 @@ WRITERS: dict = {}
 
 
 @functools.cache
-def _fields(cls) -> tuple:
-    """(name, block, key, type, default or MISSING, reader) per field, in order."""
+def _fields(cls, prefix: str) -> tuple:
+    """Per field, in order, worked out once per class: (name, block, prefixed key, its path after ctx,
+    class of a flat-prefixed key or None, default or MISSING, whether encode leaves the default out, reader)."""
     hints = typing.get_type_hints(cls)
     out = []
     for f in dataclasses.fields(cls):
         default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
         block, _, key = f.metadata.get("key", f.name).rpartition(".")
-        out.append((f.name, block, key, hints[f.name], default, _reader(hints[f.name])))
+        key = prefix + key
+        # Optional fields holding their empty default (None, "" or False) are
+        # left out; numeric defaults such as 0.0 are written.
+        omit = default is None or default is False or default == ""
+        out.append((f.name, block, key, f".{block}.{key}" if block else f".{key}",
+                    hints[f.name] if key.endswith("_") else None, default, omit, _reader(hints[f.name])))
     return tuple(out)
 
 
@@ -139,7 +145,7 @@ def decode(cls, raw, ctx: str, **fixed):
 def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
     kwargs = dict(fixed)
     blocks: dict = {}
-    for name, block, key, tp, default, read in _fields(cls):
+    for name, block, key, path, nested, default, _, read in _fields(cls, prefix):
         if name in fixed:
             continue
         src, where = d, ctx
@@ -148,11 +154,10 @@ def _take(cls, d: dict, ctx: str, prefix: str, fixed: dict):
             if block not in blocks:
                 blocks[block] = as_dict(pop(d, block, ctx), where)
             src = blocks[block]
-        key = prefix + key
-        if key.endswith("_"):  # a nested dataclass as flat prefixed keys
-            kwargs[name] = _take(tp, src, where, key, {})
+        if nested:  # a nested dataclass as flat prefixed keys
+            kwargs[name] = _take(nested, src, where, key, {})
         elif key in src:
-            kwargs[name] = read(src.pop(key), f"{where}.{key}")
+            kwargs[name] = read(src.pop(key), ctx + path)
         elif default is dataclasses.MISSING:
             raise ConfigError(f"{where}: missing required key '{key}'")
         else:
@@ -175,7 +180,16 @@ def _reader(tp):
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
         item = _reader(args[0])
-        return lambda raw, ctx: tuple(item(v, f"{ctx}[{i}]") for i, v in enumerate(as_list(raw, ctx)))
+
+        def read(raw, ctx):
+            items = as_list(raw, ctx)
+            try:  # one pass with the array's own path; a second builds each [i] only if an element fails
+                return tuple([item(v, ctx) for v in items])
+            except ConfigError:
+                for i, v in enumerate(items):
+                    item(v, f"{ctx}[{i}]")
+                raise
+        return read
     if type(None) in args:  # X | None
         inner = _reader(args[0])
         return lambda raw, ctx: None if raw is None else inner(raw, ctx)
@@ -185,15 +199,13 @@ def _reader(tp):
 def encode(obj, prefix: str = "") -> dict:
     """The JSON-ready object of a dataclass; a block is nested where its first field falls."""
     doc: dict = {}
-    for name, block, key, _, default, _ in _fields(type(obj)):
+    for name, block, key, _, nested, default, omit, _ in _fields(type(obj), prefix):
         value = getattr(obj, name)
         dst = doc.setdefault(block, {}) if block else doc
-        if key.endswith("_"):
-            dst.update(encode(value, prefix + key))
-        # Optional fields holding their empty default (None, "" or False) are
-        # left out; numeric defaults such as 0.0 are written.
-        elif not ((default is None or default is False or default == "") and value == default):
-            dst[prefix + key] = plain(value)
+        if nested:
+            dst.update(encode(value, key))
+        elif not (omit and value == default):
+            dst[key] = plain(value)
     return doc
 
 
@@ -202,6 +214,8 @@ _SCALARS = {str, int, float, bool, type(None)}
 
 def plain(value):
     """value as JSON-ready lists, objects and scalars."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):
@@ -224,7 +238,8 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 def json_pieces(doc) -> typing.Iterator[str]:
     """The text of json.dumps(doc, indent=2, ensure_ascii=False) + "\n", one piece per top-level
-    key and one per object in an array under it (a run log's steps), so it never exists whole."""
+    key and one per object in an array under it (a run log's steps), so it never exists whole.
+    Such an item may be a dataclass, encoded only when its piece is written (``write_run_log``)."""
     if not isinstance(doc, dict) or not doc:
         yield _text(doc, "\n") + "\n"
         return
@@ -232,11 +247,12 @@ def json_pieces(doc) -> typing.Iterator[str]:
     for key, value in doc.items():
         head = opening + "\n  " + _escape(key) + ": "
         opening = ","
-        if isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
+        if isinstance(value, (list, tuple)) and value and (isinstance(value[0], dict)
+                                                          or dataclasses.is_dataclass(value[0])):
             yield head + "["
             lead = "\n    "
             for item in value:
-                yield lead + _text(item, "\n    ")
+                yield lead + _text(plain(item), "\n    ")
                 lead = ",\n    "
             yield "\n  ]"
         else:

@@ -6,12 +6,14 @@ transformers, PQ generators (modelled as negative loads) and scalable loads.
 A :class:`GridModel` is checked once, when it is built: the constructor, the
 JSON decoder and ``dataclasses.replace`` all store its devices as tuples and
 run :meth:`GridModel.validate` on them, so a list edited later cannot change a
-checked grid, and the solver never checks it again.  One table names each
-device kind's actuated settings and their limit fields: ``validate`` checks
-them, :meth:`GridModel.with_targets` clamps a move between them and
-:func:`actuator_state` reads them.  ``with_targets`` copies any number of devices
-inside limits the grid already holds, so its copy skips the re-check; the
-``with_*`` helpers are its one-device form.
+checked grid, and the solver never checks it again.  The check reads a float or
+string field through the codec's readers and stores an int given for a float as
+that float, so a grid built in Python saves text that reloads as itself.  One
+table names each device kind's actuated settings and their limit fields:
+``validate`` checks them, :meth:`GridModel.with_targets` clamps a move between
+them and :func:`actuator_state` reads them.  ``with_targets`` copies any number
+of devices inside limits the grid already holds, so its copy skips the
+re-check; the ``with_*`` helpers are its one-device form.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
+
+from .codec import read_float, read_str
 
 SLACK = "slack"
 PV = "pv"
@@ -119,6 +123,8 @@ class GridModel:
     def __post_init__(self) -> None:
         for kind in ("buses", "lines", "transformers", "generators", "loads"):
             object.__setattr__(self, kind, tuple(getattr(self, kind)))
+        if type(self.s_base_mva) is not float:  # True is refused; an int is stored as its float
+            object.__setattr__(self, "s_base_mva", read_float(self.s_base_mva, "s_base_mva"))
         self.validate()
 
     def validate(self) -> None:
@@ -137,6 +143,11 @@ class GridModel:
                     value = values[f.name]
                     if f.type == "int" and type(value) is not int:  # not True, 1.0 or np.int64(1)
                         raise ModelValidationError(f"{kind}[{i}]: {f.name} must be an integer")
+                    if f.type == "str":
+                        read_str(value, f"{kind}[{i}].{f.name}")
+                    elif f.type.startswith("float") and type(value) is not float and value is not None:
+                        # True is refused; an int is stored, in place, as the float its saved text reloads as
+                        values[f.name] = value = read_float(value, f"{kind}[{i}].{f.name}")
                     if f.name in ("from_bus", "to_bus", "bus") and not 0 <= value < n:
                         raise ModelValidationError(f"{kind}[{i}]: bus {value} does not exist")
                     if isinstance(value, float) and not math.isfinite(value):

@@ -1,15 +1,16 @@
 """Run-log persistence, derived metrics and dependency-free SVG charts.
 
-All writers stream and are byte-deterministic: fixed header order,
-17-significant-digit floats in the CSVs, shortest round-trip floats in JSON,
-LF line endings.  Re-running a log's config regenerates identical files.
+All writers stream, the run log encoding one step at a time as it writes it,
+and are byte-deterministic: fixed header order, 17-significant-digit floats in
+the CSVs, shortest round-trip floats in JSON, LF line endings.  Re-running a
+log's config regenerates identical files.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,8 +59,9 @@ def write_agent_log(log: RunLog, path: str | Path) -> None:
 # -- full run-log round trip ----------------------------------------------------
 
 def write_run_log(log: RunLog, path: str | Path) -> None:
-    """Self-contained JSON form of a run log, sufficient to recompute metrics."""
-    _write_lines(path, json_pieces(encode(log)))
+    """Self-contained JSON form of a run log, sufficient to recompute metrics; json_pieces
+    encodes each step only as it writes it, so no more than one encoded step is ever held."""
+    _write_lines(path, json_pieces({**encode(replace(log, steps=())), "steps": log.steps}))
 
 
 def read_run_log(path: str | Path) -> RunLog:

@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
 import re
 import time
@@ -7,10 +10,14 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridduel.config
 from gridduel.cli import main
-from gridduel.config import fixture_path
+from gridduel.codec import encode, json_pieces
+from gridduel.config import fixture_path, load_config_path
+from gridduel.core import run_experiment
 
 from .conftest import TWO_BUS_THETA2, TWO_BUS_V2, cli_env
 
@@ -423,6 +430,8 @@ VALIDATE = ["validate", "--config"]
          r"run_log\.initial: unknown key\(s\) \['note'\]"),
         ("run_log", ["metrics", "--log"], _inner("agents", lambda a: a[0].pop("id")),
          r"run_log\.agents\[0\]: missing required key 'id'"),
+        ("run_log", ["metrics", "--log"], _inner("agents", lambda a: a.append({**a[0], "id": 5})),
+         r"run_log\.agents\[1\]\.id: expected a string$"),
         ("run_log", ["metrics", "--log"], _repeated(seed=1), r"run_log: duplicate key\(s\) \['seed'\]"),
         ("run_log", ["metrics", "--log"], _no_buses,
          r"run_log: initial\.v_pu: a grid has at least one bus, got 0 values$"),
@@ -461,7 +470,8 @@ VALIDATE = ["validate", "--config"]
          "boolean_voltage", "ragged_voltage", "short_voltage_row", "long_angle_row",
          "short_initial_angle_row", "string_step_time", "numeric_label",
          "nan_reward", "unknown_step_key", "step_of_unlisted_agent", "duplicate_agent_id",
-         "bad_performance", "unknown_initial_key", "agent_without_id", "run_log_duplicate_key",
+         "bad_performance", "unknown_initial_key", "agent_without_id", "numeric_second_agent_id",
+         "run_log_duplicate_key",
          "run_log_without_buses",
          "unknown_schedule_key", "string_rounds", "config_duplicate_key", "string_allow_single_class",
          "steps_per_turn_huge", "config_not_json", "config_deep",
@@ -484,3 +494,33 @@ def test_malformed_run_log_or_metrics_exits_one(tmp_path, monkeypatch, capsys, s
     assert main([*command, str(bad)]) == 1
     assert re.search("^error: " + message, capsys.readouterr().err)
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.fixture(scope="module")
+def two_bus_run_log(tmp_path_factory):
+    """The JSON document of two_bus.json's run log (two steps), and a directory to write edits of it."""
+    text = "".join(json_pieces(encode(run_experiment(load_config_path(TWO_BUS)))))
+    return json.loads(text), tmp_path_factory.mktemp("broken_run_log")
+
+
+_STEP_ARRAYS = ("x", "y", "v_pu", "theta_rad", "p_inj_pu", "q_inj_pu")
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_broken_step_element_is_named_by_its_path(two_bus_run_log, data):
+    """One wrong element of a step's vector or label tuple exits 1 naming steps[i].<field>[j]."""
+    doc, directory = copy.deepcopy(two_bus_run_log[0]), two_bus_run_log[1]
+    i = data.draw(st.integers(0, len(doc["steps"]) - 1), label="step")
+    name = data.draw(st.sampled_from(_STEP_ARRAYS), label="field")
+    j = data.draw(st.integers(0, len(doc["steps"][i][name]) - 1), label="element")
+    bad = st.sampled_from([0, 1.5, True, None, ["hold"], {}]) if name == "y" else st.sampled_from(
+        ["1.0", True, False, None, [1.0], {}])
+    doc["steps"][i][name][j] = data.draw(bad, label="value")
+    path = directory / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["metrics", "--log", str(path)]) == 1
+    expected = "a string" if name == "y" else "a number"
+    assert err.getvalue() == f"error: run_log.steps[{i}].{name}[{j}]: expected {expected}\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridduel.codec import ConfigError
 from gridduel.config import ExperimentConfig, load_config, save_config
 from gridduel.grid import (
     Bus,
@@ -169,6 +170,35 @@ def test_non_finite_numbers_rejected(poc_grid, mutate, message):
     """Before this check the first two grids failed every solve and the third solved with zero injections."""
     with pytest.raises(ModelValidationError, match=message):
         mutate(poc_grid)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda g: _with_first(g, "lines", r_pu=True), r"^lines\[0\]\.r_pu: expected a number$"),
+    (lambda g: _with_first(g, "buses", name=5), r"^buses\[0\]\.name: expected a string$"),
+    (lambda g: dataclasses.replace(g, buses=(dataclasses.replace(g.buses[0], kind=None), *g.buses[1:])),
+     r"^buses\[0\]\.kind: expected a string$"),
+    (lambda g: _with_first(g, "buses", v_setpoint_pu=True), r"^buses\[0\]\.v_setpoint_pu: expected a number$"),
+    (lambda g: _with_first(g, "transformers", tap_step_pu="0.0125"),
+     r"^transformers\[0\]\.tap_step_pu: expected a number$"),
+    (lambda g: _with_first(g, "generators", p_max_mw=[1.0]), r"^generators\[0\]\.p_max_mw: expected a number$"),
+    (lambda g: _with_first(g, "loads", scaling=10**400), r"^loads\[0\]\.scaling: expected a finite number$"),
+    (lambda g: dataclasses.replace(g, s_base_mva=True), r"^s_base_mva: expected a number$"),
+], ids=["bool_line_r", "int_bus_name", "none_bus_kind", "bool_setpoint", "str_tap_step", "list_p_max",
+        "huge_int_scaling", "bool_s_base"])
+def test_python_built_grid_fields_are_checked(poc_grid, mutate, message):
+    """A grid built in Python refuses a float or string field of the wrong type, as its JSON reader does."""
+    with pytest.raises(ConfigError, match=message):
+        mutate(poc_grid)
+
+
+def test_an_int_in_a_grid_float_field_is_stored_as_its_float(poc_grid):
+    """So the saved text reloads as the same grid, with the same text and fingerprint."""
+    grid = dataclasses.replace(_with_first(_with_first(poc_grid, "loads", p_mw=1), "buses", base_kv=110),
+                               s_base_mva=10)
+    assert (type(grid.loads[0].p_mw), type(grid.buses[0].base_kv), type(grid.s_base_mva)) == (float, float, float)
+    text = save_config_with_grid(grid)
+    assert '"p_mw": 1.0' in text
+    assert save_config_with_grid(load_config(text).build_grid()) == text
 
 
 def test_generator_must_sit_on_pq_bus():
