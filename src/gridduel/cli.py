@@ -14,11 +14,11 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .codec import ConfigError, as_dict, as_list, json_object, json_pieces, numbers, pop, read_float, read_int
+from .codec import (ConfigError, as_dict, as_list, json_object, json_pieces, numbers, pop, read_float, read_int,
+                    read_text)
 from .config import load_config_path
 from .core import check_asymmetry_series, run_experiment
 from .powerflow import solve_newton_raphson
@@ -166,7 +166,7 @@ def _series(doc: dict, key: str, ctx: str) -> np.ndarray:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    doc = json_object(Path(args.metrics).read_text(encoding="utf-8"), "metrics")
+    doc = json_object(read_text(args.metrics, "metrics"), "metrics")
     name = args.series
     if name in ("mean_voltage", "p_world"):
         series = _series(doc, name, "metrics")
@@ -188,7 +188,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymmetry(args: argparse.Namespace) -> int:
-    doc = json_object(Path(args.metrics).read_text(encoding="utf-8"), "metrics")
+    doc = json_object(read_text(args.metrics, "metrics"), "metrics")
     p_series = _series(doc, "p_world", "metrics")
     performance = as_dict(pop(doc, "performance", "metrics"), "metrics.performance")
     p_fail = read_float(pop(performance, "p_fail", "metrics.performance"), "metrics.performance.p_fail")

@@ -1,12 +1,13 @@
 """Strict JSON readers, the field-driven codec and the JSON writer every document goes through.
 
 ``decode`` builds a dataclass from a JSON object and ``encode`` writes it
-back.  A key is a field's name or its ``key`` metadata (``"class"``, or
-``"schedule.rounds"`` for the key ``rounds`` of the nested object
-``schedule``); a key ending in ``_`` (``"epsilon_"``) writes a nested
-dataclass as flat prefixed keys (``epsilon_start``) of the same object.  An
-absent key takes the field's default, and declaration order is the
-canonical key order.  Every violation raises ConfigError
+back; ``read_document`` decodes a whole document as it parses it, one
+member and one array element at a time.  A key is a field's name or its
+``key`` metadata (``"class"``, or ``"schedule.rounds"`` for the key
+``rounds`` of the nested object ``schedule``); a key ending in ``_``
+(``"epsilon_"``) writes a nested dataclass as flat prefixed keys
+(``epsilon_start``) of the same object.  An absent key takes the field's
+default, and declaration order is the canonical key order.  Every violation raises ConfigError
 naming its key path from the document root, e.g. ``run_log.steps[3].v_pu``.
 """
 
@@ -18,6 +19,7 @@ import functools
 import json
 import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -26,21 +28,33 @@ class ConfigError(ValueError):
     """Raised when an input document (experiment, run log, metrics) fails parsing or validation."""
 
 
-def json_object(text: str, ctx: str) -> dict:
-    def unique(pairs: list) -> dict:  # json.loads alone would keep the last of repeated keys
+def _unique_keys(ctx: str):
+    """The object_pairs_hook that refuses repeated keys; json.loads alone would keep the last of them."""
+    def unique(pairs: list) -> dict:
         d = dict(pairs)
         if len(d) < len(pairs):
             counts = collections.Counter(key for key, _ in pairs)
             raise ConfigError(f"{ctx}: duplicate key(s) {sorted(k for k, n in counts.items() if n > 1)}")
         return d
+    return unique
 
+
+def json_object(text: str, ctx: str) -> dict:
     try:
-        doc = json.loads(text, object_pairs_hook=unique)
+        doc = json.loads(text, object_pairs_hook=_unique_keys(ctx))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{ctx}: parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
     except RecursionError as e:  # the parser recurses once per nested array or object
         raise ConfigError(f"{ctx}: nested too deeply") from e
     return as_dict(doc, ctx)
+
+
+def read_text(path, ctx: str) -> str:
+    """The UTF-8 text of the document at path; bytes that are not UTF-8 raise ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{ctx}: not UTF-8 text: {e.reason} at byte {e.start}") from e
 
 
 def as_dict(value, ctx: str) -> dict:
@@ -83,7 +97,9 @@ def read_float(value, ctx: str) -> float:
 def read_str(value, ctx: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{ctx}: expected a string")
-    return value
+    # One shared object per distinct label or id, as in the run that wrote a log; str() plainly
+    # copies a subclass (numpy's str_), which sys.intern refuses.
+    return sys.intern(str(value))
 
 
 def read_bool(value, ctx: str) -> bool:
@@ -194,6 +210,80 @@ def _reader(tp):
         inner = _reader(args[0])
         return lambda raw, ctx: None if raw is None else inner(raw, ctx)
     return functools.partial(decode, tp)
+
+
+_SPACE = json.decoder.WHITESPACE.match  # the whitespace json's scanner skips
+
+
+def read_document(cls, text: str, ctx: str):
+    """cls decoded from the JSON object text at key path ctx: decode(cls, json_object(text, ctx), ctx).
+
+    json's scanner parses the top-level members one at a time, and an array under a
+    tuple[X, ...] field one element at a time, each handed to X's reader as soon as it is
+    parsed, so the parsed document never exists whole (a run log's steps).  Any failure
+    reads the text again through json_object and decode, which word every error.
+    """
+    try:
+        return _read_members(cls, text, ctx)
+    except Exception:  # noqa: BLE001 - any failure: the whole-document path decides which error, in its words
+        pass
+    return decode(cls, json_object(text, ctx), ctx)
+
+
+def _read_members(cls, text: str, ctx: str):
+    scan = json.JSONDecoder(object_pairs_hook=_unique_keys(ctx)).raw_decode
+    streamed = _streamed(cls)
+    doc, fixed, seen = {}, {}, set()
+    more, pos = _open(text, _SPACE(text, 0).end(), "{}")
+    while more:
+        key, pos = scan(text, pos)
+        if type(key) is not str or key in seen:
+            raise ValueError(f"not a new key: {key!r}")
+        seen.add(key)
+        pos = _open(text, _SPACE(text, pos).end(), ":")[1]
+        if key in streamed and text[pos] == "[":
+            name, read, path = streamed[key]
+            items = []
+            more, pos = _open(text, pos, "[]")
+            while more:
+                raw, pos = scan(text, pos)
+                items.append(read(raw, ctx + path))
+                more, pos = _after(text, pos, "]")
+            fixed[name] = tuple(items)
+        else:
+            doc[key], pos = scan(text, pos)
+        more, pos = _after(text, pos, "}")
+    if pos != len(text):
+        raise ValueError("extra data")
+    return decode(cls, doc, ctx, **fixed)
+
+
+def _open(text: str, pos: int, brackets: str) -> tuple[bool, int]:
+    """Past the token brackets[0] at pos: whether a member follows (not brackets[1]), and where it
+    starts or where the closing bracket and its trailing whitespace end."""
+    if text[pos] != brackets[0]:
+        raise ValueError(f"expected {brackets[0]!r} at {pos}")
+    pos = _SPACE(text, pos + 1).end()
+    if brackets[1:] == text[pos]:
+        return False, _SPACE(text, pos + 1).end()
+    return True, pos
+
+
+def _after(text: str, pos: int, closing: str) -> tuple[bool, int]:
+    """Past a member that ends at pos: whether another follows, and where it starts or where closing ends."""
+    pos = _SPACE(text, pos).end()
+    if text[pos] == closing:
+        return False, _SPACE(text, pos + 1).end()
+    return _open(text, pos, ",")
+
+
+@functools.cache
+def _streamed(cls) -> dict:
+    """Per top-level key of a tuple[X, ...] field of cls: the field's name, X's reader and its path after ctx."""
+    hints = typing.get_type_hints(cls)
+    return {key: (name, _reader(typing.get_args(hints[name])[0]), path)
+            for name, block, key, path, nested, *_ in _fields(cls, "")
+            if not block and not nested and typing.get_origin(hints[name]) is tuple}
 
 
 def encode(obj, prefix: str = "") -> dict:

@@ -32,8 +32,8 @@ from .agents import (
     TabularHyper,
     TabularQAgent,
 )
-from .codec import (READERS, WRITERS, ConfigError, as_dict, as_list, decode, done, encode, json_object,
-                    json_pieces, plain, pop, read_bool, read_int, read_str)
+from .codec import (READERS, WRITERS, ConfigError, as_dict, as_list, decode, done, encode, json_pieces, plain,
+                    pop, read_bool, read_document, read_int, read_str, read_text)
 from .core import PerformanceConfig, V_QUANTITY
 from .grid import GridModel, arl_poc_grid
 
@@ -46,7 +46,7 @@ GRID_BUILDERS = {"arl_poc_grid": arl_poc_grid}
 _HYPER = {QNET: QNetHyper, TABULAR: TabularHyper}
 
 # Steps in one run (rounds x steps_per_turn x agents). The run log keeps every step
-# in memory, about 0.95 KB each on two_bus and 1.6 KB on poc, so 10**7 steps is 10 GB or more.
+# in memory, about 0.46 KB each on two_bus and 1.5 KB on poc, so 10**7 poc steps is about 15 GB.
 MAX_STEPS = 10**7
 
 
@@ -227,7 +227,7 @@ def _parse_agent(raw, ctx: str) -> AgentSpec:
 
 def load_config(text: str) -> ExperimentConfig:
     """Parse and fully validate one experiment document."""
-    return decode(ExperimentConfig, json_object(text, "config"), "config")
+    return read_document(ExperimentConfig, text, "config")
 
 
 # -- canonical save -------------------------------------------------------------
@@ -257,7 +257,7 @@ def save_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config_path(path: str | Path) -> ExperimentConfig:
-    return load_config(Path(path).read_text(encoding="utf-8"))
+    return load_config(read_text(path, "config"))
 
 
 def fixture_path(name: str) -> Path:

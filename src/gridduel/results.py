@@ -3,7 +3,9 @@
 All writers stream, the run log encoding one step at a time as it writes it,
 and are byte-deterministic: fixed header order, 17-significant-digit floats in
 the CSVs, shortest round-trip floats in JSON, LF line endings.  Re-running a
-log's config regenerates identical files.
+log's config regenerates identical files.  The run-log reader streams too: it
+decodes each step as soon as it is parsed, so it holds the file's text and the
+decoded log, never the parsed JSON document.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .core import (
     classify_resilience_phases,
     operational_phases,
 )
-from .codec import decode, encode, json_object, json_pieces, plain
+from .codec import encode, json_pieces, plain, read_document, read_text
 
 GRID_LOG_HEADER = "step,bus_id,v_pu,theta_rad,p_inj_pu,q_inj_pu"
 AGENT_LOG_HEADER = "step,agent_id,inputs,outputs,reward"
@@ -65,8 +67,8 @@ def write_run_log(log: RunLog, path: str | Path) -> None:
 
 
 def read_run_log(path: str | Path) -> RunLog:
-    """Load a file written by write_run_log; a malformed one raises ConfigError naming the key."""
-    return decode(RunLog, json_object(Path(path).read_text(encoding="utf-8"), "run_log"), "run_log")
+    """Load a file written by write_run_log, one step at a time; a malformed one raises ConfigError naming the key."""
+    return read_document(RunLog, read_text(path, "run_log"), "run_log")
 
 
 # -- metrics ---------------------------------------------------------------------

@@ -496,6 +496,26 @@ def test_malformed_run_log_or_metrics_exits_one(tmp_path, monkeypatch, capsys, s
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "command, ctx",
+    [(VALIDATE, "config"), (["metrics", "--log"], "run_log"), (PLOT, "metrics"), (ASYMMETRY, "metrics")],
+    ids=["validate", "metrics", "plot", "asymmetry"],
+)
+@pytest.mark.parametrize(
+    "data, where",
+    [(b'\xff\xfe{"a":1}', "invalid start byte at byte 0"),
+     (b'{"name": "caf\xc3(", "seed": 1}', "invalid continuation byte at byte 13")],
+    ids=["utf16_bom", "broken_sequence"],
+)
+def test_a_document_that_is_not_utf8_exits_one(tmp_path, capsys, command, ctx, data, where):
+    """Bytes that are not UTF-8 exit 1 naming the document and the first bad byte, not with a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main([*command, str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {ctx}: not UTF-8 text: {where}\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
 @pytest.fixture(scope="module")
 def two_bus_run_log(tmp_path_factory):
     """The JSON document of two_bus.json's run log (two steps), and a directory to write edits of it."""

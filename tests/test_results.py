@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridduel.agents import reward as reward_fn
-from gridduel.codec import encode, json_pieces
+from gridduel.codec import ConfigError, decode, encode, json_object, json_pieces
+from gridduel.config import ExperimentConfig, load_config, save_config
 from gridduel.core import AgentSummary, PerformanceConfig, RunLog, StepRecord, run_experiment
 from gridduel.results import (
     AGENT_LOG_HEADER,
@@ -165,6 +166,78 @@ def test_run_log_write_read_write_is_byte_identical(tmp_path_factory, log):
     assert (directory / "second.json").read_bytes() == (directory / "first.json").read_bytes()
 
 
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs, so a mutated document may repeat a key."""
+
+
+def _dumps(value) -> str:
+    if isinstance(value, _Pairs):
+        return "{" + ", ".join(json.dumps(key) + ": " + _dumps(item) for key, item in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dumps, value)) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def _mutated(draw, text: str, array_key: str) -> str:
+    """text with at most one edit of its structure, then maybe truncated, extended or given a BOM."""
+    doc = json.loads(text, object_pairs_hook=_Pairs)
+    array = dict(doc)[array_key]
+    edit = draw(st.sampled_from(["none", "repeat_top_key", "repeat_element_key", "wrong_element_type"]))
+    if edit == "repeat_top_key":
+        doc.insert(draw(st.integers(0, len(doc))), draw(st.sampled_from(doc)))
+    elif edit != "none":
+        element = draw(st.sampled_from(array))
+        i = draw(st.integers(0, len(element) - 1))
+        if edit == "repeat_element_key":
+            element.insert(draw(st.integers(0, len(element))), element[i])
+        else:
+            element[i] = (element[i][0], draw(st.sampled_from([None, True, 1, 1.5, "x", [], _Pairs()])))
+    if edit != "none":
+        text = _dumps(doc)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    text += draw(st.sampled_from(["", " \n\t\r", "x", "{}", ",", "]", "}", "\n0"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def _log_text(log: RunLog) -> str:
+    return "".join(json_pieces(encode(log)))
+
+
+def _outcome(read, rewrite):
+    """The rewritten text of what read() returns, or the ConfigError it raises."""
+    try:
+        return "read", rewrite(read())
+    except ConfigError as e:
+        return "refused", str(e)
+
+
+@pytest.fixture(scope="module")
+def written_documents(short_run, tmp_path_factory):
+    cfg, log = short_run
+    path = tmp_path_factory.mktemp("written") / "run_log.json"
+    write_run_log(log, path)
+    return path.read_text(encoding="utf-8"), save_config(cfg)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_document_reads_as_its_whole_parsed_form(tmp_path_factory, written_documents, data):
+    """read_run_log and load_config, which parse one member or step at a time, give what decoding the
+    whole parsed document gives: the same ConfigError text, or a value written back to the same bytes."""
+    log_text, config_text = written_documents
+    text = data.draw(_mutated(log_text, "steps"), label="run_log")
+    path = tmp_path_factory.mktemp("mutated") / "run_log.json"
+    path.write_bytes(text.encode("utf-8"))
+    text = path.read_text(encoding="utf-8")  # as the reader sees it: a lone "\r" reads as "\n"
+    assert (_outcome(lambda: read_run_log(path), _log_text)
+            == _outcome(lambda: decode(RunLog, json_object(text, "run_log"), "run_log"), _log_text))
+    text = data.draw(_mutated(config_text, "agents"), label="config")
+    assert (_outcome(lambda: load_config(text), save_config)
+            == _outcome(lambda: decode(ExperimentConfig, json_object(text, "config"), "config"), save_config))
+
+
 # -- streamed writers -------------------------------------------------------------------
 
 
@@ -278,6 +351,14 @@ def test_writer_memory_stays_below_file_size(tmp_path, long_log, writer):
     path = tmp_path / "out"
     peak = _traced_peak(lambda: writer(long_log, path))
     assert peak < 0.5 * path.stat().st_size
+
+
+def test_reader_memory_stays_near_twice_the_file_size(tmp_path, long_log):
+    """read_run_log holds the file's bytes and text, then the text and the decoded log, but never the parsed
+    document: a step's parsed JSON is freed once it is decoded."""
+    path = tmp_path / "log.json"
+    write_run_log(long_log, path)
+    assert _traced_peak(lambda: read_run_log(path)) < 2.2 * path.stat().st_size
 
 
 # -- metrics -----------------------------------------------------------------------------
