@@ -1,14 +1,15 @@
 """Strict JSON readers, the field-driven codec and the JSON writer every document goes through.
 
-``decode`` builds a dataclass from a JSON object and ``encode`` writes it
-back; ``read_document`` decodes a whole document as it parses it, one
-member and one array element at a time.  A key is a field's name or its
-``key`` metadata (``"class"``, or ``"schedule.rounds"`` for the key
-``rounds`` of the nested object ``schedule``); a key ending in ``_``
-(``"epsilon_"``) writes a nested dataclass as flat prefixed keys
-(``epsilon_start``) of the same object.  An absent key takes the field's
-default, and declaration order is the canonical key order.  Every violation raises ConfigError
-naming its key path from the document root, e.g. ``run_log.steps[3].v_pu``.
+``decode`` builds a dataclass from a JSON object and ``encode`` writes it back.
+``read_document`` decodes the shape the writer emits (a non-empty object whose top-level
+``tuple[X, ...]`` keys hold non-empty arrays, in any JSON whitespace) as it parses it, one
+member and one array element at a time; any other shape, and every error, goes through
+the whole parsed document.  A key is a field's name or its ``key`` metadata (``"class"``,
+or ``"schedule.rounds"`` for the key ``rounds`` of the nested object ``schedule``); a key
+ending in ``_`` (``"epsilon_"``) writes a nested dataclass as flat prefixed keys
+(``epsilon_start``) of the same object.  An absent key takes the field's default, and
+declaration order is the canonical key order.  Every violation raises ConfigError naming
+its key path from the document root, e.g. ``run_log.steps[3].v_pu``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import collections
 import dataclasses
 import functools
 import json
+import re
 import sys
 import typing
 from pathlib import Path
@@ -108,6 +110,13 @@ def read_bool(value, ctx: str) -> bool:
     return value
 
 
+def read_instance(value, ctx: str, *types):
+    """value if it is an instance of one of types: the check of a field that a config built in Python fills."""
+    if not isinstance(value, types):
+        raise ConfigError(f"{ctx}: expected {' or '.join(t.__name__ for t in types)}, got {type(value).__name__}")
+    return value
+
+
 def numbers(value, ctx: str) -> np.ndarray:
     """A flat array of numbers as a float array; one type scan and one numpy pass check it.
 
@@ -196,23 +205,15 @@ def _reader(tp):
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
         item = _reader(args[0])
-
-        def read(raw, ctx):
-            items = as_list(raw, ctx)
-            try:  # one pass with the array's own path; a second builds each [i] only if an element fails
-                return tuple([item(v, ctx) for v in items])
-            except ConfigError:
-                for i, v in enumerate(items):
-                    item(v, f"{ctx}[{i}]")
-                raise
-        return read
+        return lambda raw, ctx: tuple([item(v, f"{ctx}[{i}]") for i, v in enumerate(as_list(raw, ctx))])
     if type(None) in args:  # X | None
         inner = _reader(args[0])
         return lambda raw, ctx: None if raw is None else inner(raw, ctx)
     return functools.partial(decode, tp)
 
 
-_SPACE = json.decoder.WHITESPACE.match  # the whitespace json's scanner skips
+# One structural character and json's whitespace around it; the match ends where the next value starts.
+_TOKEN = re.compile(r"[ \t\n\r]*([^ \t\n\r])[ \t\n\r]*").match
 
 
 def read_document(cls, text: str, ctx: str):
@@ -220,61 +221,42 @@ def read_document(cls, text: str, ctx: str):
 
     json's scanner parses the top-level members one at a time, and an array under a
     tuple[X, ...] field one element at a time, each handed to X's reader as soon as it is
-    parsed, so the parsed document never exists whole (a run log's steps).  Any failure
-    reads the text again through json_object and decode, which word every error.
+    parsed, so the parsed document never exists whole (a run log's steps).  A shape other
+    than the writer's (see the module docstring) and any failure read the text again
+    through json_object and decode, which word every error.
     """
+    def step(pos: int, expected: str) -> tuple[str, int]:
+        token = _TOKEN(text, pos)
+        if token is None or token[1] not in expected:
+            raise ValueError(f"expected one of {expected!r} at {pos}")
+        return token[1], token.end()
+
     try:
-        return _read_members(cls, text, ctx)
+        scan = json.JSONDecoder(object_pairs_hook=_unique_keys(ctx)).raw_decode
+        streamed, doc = _streamed(cls), {}  # doc: each member read so far, a streamed one decoded
+        char, pos = step(0, "{")
+        while char != "}":
+            key, pos = scan(text, pos)
+            if type(key) is not str or key in doc:
+                raise ValueError(f"not a new key: {key!r}")
+            pos = step(pos, ":")[1]
+            if key in streamed:
+                _, read, path = streamed[key]
+                (char, pos), items = step(pos, "["), []
+                while char != "]":
+                    raw, pos = scan(text, pos)
+                    items.append(read(raw, ctx + path))
+                    char, pos = step(pos, ",]")
+                doc[key] = tuple(items)
+            else:
+                doc[key], pos = scan(text, pos)
+            char, pos = step(pos, ",}")
+        if pos != len(text):
+            raise ValueError("extra data")
+        return decode(cls, doc, ctx, **{streamed[key][0]: doc.pop(key) for key in streamed if key in doc})
     except Exception:  # noqa: BLE001 - any failure: the whole-document path decides which error, in its words
         pass
     return decode(cls, json_object(text, ctx), ctx)
-
-
-def _read_members(cls, text: str, ctx: str):
-    scan = json.JSONDecoder(object_pairs_hook=_unique_keys(ctx)).raw_decode
-    streamed = _streamed(cls)
-    doc, fixed, seen = {}, {}, set()
-    more, pos = _open(text, _SPACE(text, 0).end(), "{}")
-    while more:
-        key, pos = scan(text, pos)
-        if type(key) is not str or key in seen:
-            raise ValueError(f"not a new key: {key!r}")
-        seen.add(key)
-        pos = _open(text, _SPACE(text, pos).end(), ":")[1]
-        if key in streamed and text[pos] == "[":
-            name, read, path = streamed[key]
-            items = []
-            more, pos = _open(text, pos, "[]")
-            while more:
-                raw, pos = scan(text, pos)
-                items.append(read(raw, ctx + path))
-                more, pos = _after(text, pos, "]")
-            fixed[name] = tuple(items)
-        else:
-            doc[key], pos = scan(text, pos)
-        more, pos = _after(text, pos, "}")
-    if pos != len(text):
-        raise ValueError("extra data")
-    return decode(cls, doc, ctx, **fixed)
-
-
-def _open(text: str, pos: int, brackets: str) -> tuple[bool, int]:
-    """Past the token brackets[0] at pos: whether a member follows (not brackets[1]), and where it
-    starts or where the closing bracket and its trailing whitespace end."""
-    if text[pos] != brackets[0]:
-        raise ValueError(f"expected {brackets[0]!r} at {pos}")
-    pos = _SPACE(text, pos + 1).end()
-    if brackets[1:] == text[pos]:
-        return False, _SPACE(text, pos + 1).end()
-    return True, pos
-
-
-def _after(text: str, pos: int, closing: str) -> tuple[bool, int]:
-    """Past a member that ends at pos: whether another follows, and where it starts or where closing ends."""
-    pos = _SPACE(text, pos).end()
-    if text[pos] == closing:
-        return False, _SPACE(text, pos + 1).end()
-    return _open(text, pos, ",")
 
 
 @functools.cache

@@ -33,7 +33,7 @@ from .agents import (
     TabularQAgent,
 )
 from .codec import (READERS, WRITERS, ConfigError, as_dict, as_list, decode, done, encode, json_pieces, plain,
-                    pop, read_bool, read_document, read_int, read_str, read_text)
+                    pop, read_bool, read_document, read_instance, read_int, read_str, read_text)
 from .core import PerformanceConfig, V_QUANTITY
 from .grid import GridModel, arl_poc_grid
 
@@ -82,7 +82,7 @@ class AgentSpec:
     learner: QNetHyper | TabularHyper
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sensors", tuple(map(tuple, self.sensors)))
+        object.__setattr__(self, "sensors", tuple(tuple(s) if isinstance(s, list) else s for s in self.sensors))
         object.__setattr__(self, "actuators", tuple(self.actuators))
         if not isinstance(self.learner, (QNetHyper, TabularHyper)):
             raise TypeError(f"learner must be a QNetHyper or a TabularHyper, not {self.learner!r}")
@@ -124,6 +124,8 @@ class ExperimentConfig:
         if not read_str(self.name, "name"):
             raise ConfigError("name: must not be empty")
         read_bool(self.allow_single_class, "allow_single_class")
+        read_instance(self.performance, "performance", PerformanceConfig)
+        read_instance(self.outputs, "outputs", OutputPaths)
         if not 0 <= read_int(self.seed, "seed") < 2**64:
             raise ConfigError("seed: must be a 64-bit unsigned integer")
         if not self.agents:
@@ -135,12 +137,15 @@ class ExperimentConfig:
         if self.rounds * self.steps_per_turn * len(self.agents) > MAX_STEPS:
             raise ConfigError(f"schedule: rounds x steps_per_turn x agents must be <= {MAX_STEPS}; got "
                               f"{self.rounds} x {self.steps_per_turn} x {len(self.agents)}")
+        read_instance(self.grid_source, "grid", str, GridModel)
         if isinstance(self.grid_source, str) and self.grid_source not in GRID_BUILDERS:
             raise ConfigError(f"grid: unknown grid token {self.grid_source!r}")
         grid = self.build_grid()  # a GridModel checks itself when built
 
         ids_seen: set[str] = set()
         for i, spec in enumerate(self.agents):
+            read_instance(spec, f"agents[{i}]", AgentSpec)
+            read_instance(spec.reward, f"agents[{i}].reward", RewardParams)
             if not read_str(spec.id, f"agents[{i}].id") or any(c in spec.id for c in ",\n\r"):  # an agent CSV cell
                 raise ConfigError(f"agents[{i}].id: must be non-empty, without ',', '\\n' or '\\r'; "
                                   f"got {spec.id!r}")
@@ -157,13 +162,17 @@ class ExperimentConfig:
         for i, spec in enumerate(self.agents):
             if not spec.sensors:
                 raise ConfigError(f"agents[{i}].sensors: must not be empty")
-            for j, (bus, quantity) in enumerate(spec.sensors):
+            for j, sensor in enumerate(spec.sensors):
+                if type(sensor) is not tuple or len(sensor) != 2:
+                    raise ConfigError(f"agents[{i}].sensors[{j}]: expected a (bus, quantity) pair")
+                bus, quantity = sensor
                 if quantity != V_QUANTITY:
                     raise ConfigError(f"agents[{i}].sensors[{j}].quantity: "
                                       f"unsupported quantity {quantity!r}")
                 if not 0 <= read_int(bus, f"agents[{i}].sensors[{j}].bus") < grid.n_bus:
                     raise ConfigError(f"agents[{i}]: sensor references missing bus {bus}")
-            for ref in spec.actuators:
+            for j, ref in enumerate(spec.actuators):
+                read_instance(ref, f"agents[{i}].actuators[{j}]", ActuatorRef)
                 if ref.index >= len(getattr(grid, ref.kind + "s")):  # ActuatorRef rejects a negative index
                     raise ConfigError(f"agents[{i}]: actuator references missing {ref.kind} {ref.index}")
                 key = (ref.kind, ref.index)

@@ -547,13 +547,25 @@ def _with_agent(i, **changes):
         (_with_agent(0, id=lambda a: 5), r"^agents\[0\]\.id: expected a string$"),
         (lambda cfg: replace(cfg, outputs=replace(cfg.outputs, metrics_path=5)),
          r"^outputs\.metrics_path: expected a string$"),
+        # These two were taken, and the fingerprint's text did not reload; the rest raised a bare error.
+        (lambda cfg: replace(cfg, performance=None), "^performance: expected PerformanceConfig, got NoneType$"),
+        (lambda cfg: replace(cfg, outputs=None), "^outputs: expected OutputPaths, got NoneType$"),
+        (lambda cfg: replace(cfg, grid_source=5), "^grid: expected str or GridModel, got int$"),
+        (lambda cfg: replace(cfg, agents=({"id": "attacker"}, *cfg.agents[1:])),
+         r"^agents\[0\]: expected AgentSpec, got dict$"),
+        (_with_agent(0, reward=lambda a: None), r"^agents\[0\]\.reward: expected RewardParams, got NoneType$"),
+        (_with_agent(0, actuators=lambda a: (("transformer", 0),)),
+         r"^agents\[0\]\.actuators\[0\]: expected ActuatorRef, got tuple$"),
+        (_with_agent(0, sensors=lambda a: ((0,),)), r"^agents\[0\]\.sensors\[0\]: expected a \(bus, quantity\) pair$"),
+        (_with_agent(0, sensors=lambda a: (0,)), r"^agents\[0\]\.sensors\[0\]: expected a \(bus, quantity\) pair$"),
     ],
     ids=["missing_actuator_device", "missing_sensor_bus", "unknown_grid_token", "empty_sensors",
          "non_voltage_sensor", "shared_actuator", "duplicate_agent_id", "single_class",
          "actuator_listed_twice", "empty_name", "float_seed", "true_seed", "float_rounds", "true_rounds",
          "true_steps_per_turn", "float_sensor_bus", "numpy_int_sensor_bus", "true_sensor_bus",
          "int_allow_single_class", "int_name", "true_p_star", "true_mu", "true_epsilon_end", "true_learning_rate",
-         "false_bin_lo", "int_agent_id", "int_output_path"],
+         "false_bin_lo", "int_agent_id", "int_output_path", "none_performance", "none_outputs", "int_grid",
+         "dict_agent", "none_reward", "tuple_actuator", "short_sensor", "int_sensor"],
 )
 def test_python_built_config_is_checked(edit, message):
     """A config built in Python or changed with `replace` goes through the checks that a loaded one does."""

@@ -170,17 +170,28 @@ class _Pairs(list):
     """A JSON object as its (key, value) pairs, so a mutated document may repeat a key."""
 
 
-def _dumps(value) -> str:
+# JSON layouts as (comma, colon, newline, indent): one line with spaces, one line without, and one member a
+# line indented by tabs.
+_SPACED, _COMPACT, _TABS = (", ", ": ", "", ""), (",", ":", "", ""), (",", ": ", "\n", "\t")
+
+
+def _dumps(value, layout=_SPACED, nl=None) -> str:
+    comma, colon, top, indent = layout
+    nl = top if nl is None else nl
+    inner = nl + indent
     if isinstance(value, _Pairs):
-        return "{" + ", ".join(json.dumps(key) + ": " + _dumps(item) for key, item in value) + "}"
-    if isinstance(value, list):
-        return "[" + ", ".join(map(_dumps, value)) + "]"
-    return json.dumps(value)
+        items, brackets = [json.dumps(key) + colon + _dumps(item, layout, inner) for key, item in value], "{}"
+    elif isinstance(value, list):
+        items, brackets = [_dumps(item, layout, inner) for item in value], "[]"
+    else:
+        return json.dumps(value)
+    return brackets[0] + inner + (comma + inner).join(items) + nl + brackets[1] if items else brackets
 
 
 @st.composite
 def _mutated(draw, text: str, array_key: str) -> str:
-    """text with at most one edit of its structure, then maybe truncated, extended or given a BOM."""
+    """text with at most one edit of its structure, maybe another shape of its streamed array and another
+    layout, then maybe truncated, extended or given a BOM."""
     doc = json.loads(text, object_pairs_hook=_Pairs)
     array = dict(doc)[array_key]
     edit = draw(st.sampled_from(["none", "repeat_top_key", "repeat_element_key", "wrong_element_type"]))
@@ -193,8 +204,15 @@ def _mutated(draw, text: str, array_key: str) -> str:
             element.insert(draw(st.integers(0, len(element))), element[i])
         else:
             element[i] = (element[i][0], draw(st.sampled_from([None, True, 1, 1.5, "x", [], _Pairs()])))
-    if edit != "none":
-        text = _dumps(doc)
+    # Shapes that the streamed walk leaves to the whole-document path, and layouts that it streams too.
+    shape = draw(st.sampled_from(["as written", [], _Pairs(), 1, "leading comma"]))
+    if not isinstance(shape, str):
+        doc[:] = [(key, shape if key == array_key else value) for key, value in doc]
+    layout = draw(st.sampled_from([None, _COMPACT, _TABS]))
+    if edit != "none" or shape != "as written" or layout:
+        text = _dumps(doc, layout or _SPACED)
+    if shape == "leading comma":
+        text = "{," + text[1:]
     if draw(st.booleans()):
         text = text[:draw(st.integers(0, len(text)))]
     text += draw(st.sampled_from(["", " \n\t\r", "x", "{}", ",", "]", "}", "\n0"]))
@@ -353,11 +371,15 @@ def test_writer_memory_stays_below_file_size(tmp_path, long_log, writer):
     assert peak < 0.5 * path.stat().st_size
 
 
-def test_reader_memory_stays_near_twice_the_file_size(tmp_path, long_log):
+@pytest.mark.parametrize("layout", [None, _COMPACT, _TABS], ids=["as_written", "compact", "tabs"])
+def test_reader_memory_stays_near_twice_the_file_size(tmp_path, long_log, layout):
     """read_run_log holds the file's bytes and text, then the text and the decoded log, but never the parsed
-    document: a step's parsed JSON is freed once it is decoded."""
+    document: a step's parsed JSON is freed once it is decoded, in the writer's layout or any other."""
     path = tmp_path / "log.json"
     write_run_log(long_log, path)
+    if layout:
+        path.write_text(_dumps(json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_Pairs), layout),
+                        encoding="utf-8")
     assert _traced_peak(lambda: read_run_log(path)) < 2.2 * path.stat().st_size
 
 
